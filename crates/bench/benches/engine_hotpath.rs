@@ -363,21 +363,6 @@ fn bench_single_run(b: &Bench) {
     b.bench("engine/single_run_hotspot_slp_sle", || {
         black_box(run_workload(&w, opts_slp()));
     });
-
-    // The same runs through the sharded executor (DESIGN.md §13) at
-    // fixed widths, so the serial rows above stay head-to-head
-    // comparable with the barrier-synchronized schedule. The result is
-    // byte-identical by contract (`tests/shard_equivalence.rs`); these
-    // rows track the *cost* of that contract.
-    b.bench("engine/sharded_run_hotspot_tbnp_lru4k_2t", || {
-        black_box(run_workload(&w, opts().with_engine_threads(2)));
-    });
-    b.bench("engine/sharded_run_hotspot_tbnp_lru4k_4t", || {
-        black_box(run_workload(&w, opts().with_engine_threads(4)));
-    });
-    b.bench("engine/sharded_run_hotspot_slp_sle_4t", || {
-        black_box(run_workload(&w, opts_slp().with_engine_threads(4)));
-    });
 }
 
 fn main() {

@@ -127,11 +127,6 @@ pub struct Config {
     /// Run the GMMU invariant auditor at every checkpoint boundary
     /// (`--audit`); equivalent to `UVM_AUDIT=1`.
     pub audit: bool,
-    /// Engine sharded-execution width (`--engine-threads N`): `None`
-    /// leaves the simulator serial, `Some(0)` sizes to the host, and
-    /// `Some(n)` runs every kernel across `n` SM shards. Results are
-    /// byte-identical at every width.
-    pub engine_threads: Option<usize>,
 }
 
 impl Default for Config {
@@ -148,7 +143,6 @@ impl Default for Config {
             checkpoint_dir: None,
             checkpoint_every: 1,
             audit: false,
-            engine_threads: None,
         }
     }
 }
@@ -170,11 +164,10 @@ impl Config {
         }
     }
 
-    /// Installs the durability and execution settings process-wide:
-    /// experiments build their own `RunOptions` deep inside each
-    /// sweep, so `--checkpoint-dir`, `--checkpoint-every`, `--audit`,
-    /// and `--engine-threads` travel as the `UVM_CHECKPOINT_DIR`/
-    /// `UVM_CHECKPOINT_EVERY`/`UVM_AUDIT`/`UVM_ENGINE_THREADS`
+    /// Installs the durability settings process-wide: experiments
+    /// build their own `RunOptions` deep inside each sweep, so
+    /// `--checkpoint-dir`, `--checkpoint-every`, and `--audit` travel
+    /// as the `UVM_CHECKPOINT_DIR`/`UVM_CHECKPOINT_EVERY`/`UVM_AUDIT`
     /// environment switches the simulator honours for every run.
     /// Called once by [`config_from_args`], before any worker thread
     /// exists. Safe because none of these change simulation results.
@@ -185,9 +178,6 @@ impl Config {
         }
         if self.audit {
             std::env::set_var("UVM_AUDIT", "1");
-        }
-        if let Some(n) = self.engine_threads {
-            std::env::set_var("UVM_ENGINE_THREADS", n.to_string());
         }
     }
 
@@ -386,20 +376,6 @@ const FLAGS: &[FlagSpec] = &[
         help: "run the GMMU invariant auditor at every checkpoint boundary",
         apply: |ctx, _| {
             ctx.cfg.audit = true;
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--engine-threads",
-        metavar: Some("N"),
-        help: "engine shards per kernel: 0 = auto, 1 = serial (default), N = N shards",
-        apply: |ctx, v| {
-            ctx.cfg.engine_threads = Some(v.parse().map_err(|_| {
-                format!(
-                    "bad --engine-threads value {v:?}: accepted forms are \
-                     0 (auto-size to the host) or a positive thread count"
-                )
-            })?);
             Ok(())
         },
     },
@@ -701,6 +677,9 @@ mod tests {
         assert!(p(&["--jobs"]).is_err());
         assert!(p(&["--jobs", "many"]).is_err());
         assert!(p(&["--frobnicate"]).is_err());
+        assert!(p(&["--engine-threads", "4"])
+            .unwrap_err()
+            .contains("unknown argument"));
         // Bare switches reject inline values.
         assert!(p(&["--smoke=yes"]).is_err());
     }
@@ -878,34 +857,6 @@ mod tests {
         assert!(p(&["--checkpoint-every", "0"]).is_err());
         assert!(p(&["--checkpoint-every", "some"]).is_err());
         assert!(p(&["--audit=1"]).is_err(), "bare switch takes no value");
-    }
-
-    #[test]
-    fn args_parse_engine_threads() {
-        let p = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string()));
-        let Parsed::Run(cfg) = p(&["--engine-threads", "4"]).unwrap() else {
-            panic!("expected a runnable config");
-        };
-        assert_eq!(cfg.engine_threads, Some(4));
-        let Parsed::Run(cfg) = p(&["--engine-threads=0"]).unwrap() else {
-            panic!("expected a runnable config");
-        };
-        assert_eq!(cfg.engine_threads, Some(0), "0 = auto-size to the host");
-
-        // Default: no override, the simulator stays serial.
-        let Parsed::Run(cfg) = p(&[]).unwrap() else {
-            panic!("expected a runnable config");
-        };
-        assert_eq!(cfg.engine_threads, None);
-
-        // Invalid values exit 2 via config_from_args; the error lists
-        // the accepted forms.
-        for bad in ["many", "-1", "2.5", ""] {
-            let err = p(&["--engine-threads", bad]).unwrap_err();
-            assert!(err.contains("accepted forms"), "{err}");
-            assert!(err.contains("0 (auto-size to the host)"), "{err}");
-        }
-        assert!(p(&["--engine-threads"]).is_err());
     }
 
     #[test]

@@ -36,7 +36,6 @@
 mod engine;
 mod kernel;
 mod queue;
-mod shard;
 
 pub use engine::{Engine, EngineSnapshot, GpuConfig, KernelResult, TraceEvent};
 pub use kernel::{coalesce_pages, Access, CompiledKernel, KernelSpec, ThreadBlockSpec};

@@ -18,10 +18,12 @@
 //! `cur` and popped from the back; same-bucket pushes insert in order.
 //!
 //! Ordering contract (the engine's schedule depends on it): events pop
-//! in ascending `(cycle, push order)` — ties on cycle break FIFO, with
-//! the sequence number assigned internally at push. This is exactly the
-//! order `BinaryHeap<Reverse<(Cycle, u64, T)>>` produced, which the
+//! in ascending `(cycle, tiebreak)`. [`push`](EventQueue::push) assigns
+//! an internal sequence number, so its ties break FIFO — exactly the
+//! order `BinaryHeap<Reverse<(Cycle, u64, T)>>` produces, which the
 //! differential test in `tests/properties.rs` pins down.
+//! [`push_keyed`](EventQueue::push_keyed) takes the tiebreak from the
+//! caller instead; the engine passes each warp's static dispatch rank.
 //!
 //! Precondition: pushes never precede the last popped cycle (the
 //! engine's event causality). Events pushed earlier than that would
@@ -162,12 +164,14 @@ impl<T> EventQueue<T> {
     /// `key` in place of the internal FIFO sequence number: same-cycle
     /// events pop in ascending key order regardless of push order.
     ///
-    /// The engine uses the warp index as the key, which makes the
-    /// schedule a pure function of `(cycle, warp)` — re-pushing an
-    /// event after a speculative rollback reproduces its exact queue
-    /// position, which the internal sequence number cannot. Callers
-    /// must not queue two live events with equal `(t, key)`; their
-    /// relative order would fall back to insertion order.
+    /// The engine keys every warp event by the warp's static SM-major
+    /// dispatch rank, which makes the schedule a pure function of
+    /// `(cycle, warp)`: a same-cycle tie resolves the same way no
+    /// matter which code path pushed the event or when. The internal
+    /// sequence number would instead tie the schedule to the exact
+    /// history of pushes. Callers must not queue two live events with
+    /// equal `(t, key)`; their relative order would fall back to
+    /// insertion order.
     pub fn push_keyed(&mut self, t: Cycle, key: u64, payload: T) {
         self.push_with(t, key, payload);
     }
@@ -186,18 +190,6 @@ impl<T> EventQueue<T> {
         } else {
             self.overflow.push(Parked { t, seq, payload });
         }
-    }
-
-    /// The `(cycle, key)` of the earliest queued event without
-    /// removing it (`&mut` because the calendar may need to advance to
-    /// the next occupied bucket — work the following [`pop`](Self::pop)
-    /// then skips). The sharded engine's cooperative scheduler peeks
-    /// every shard to find the globally earliest event.
-    pub fn peek_key(&mut self) -> Option<(Cycle, u64)> {
-        if self.cur.is_empty() && !self.refill() {
-            return None;
-        }
-        self.cur.last().map(|&(t, seq, _)| (t, seq))
     }
 
     /// Removes and returns the earliest `(cycle, payload)`.
@@ -393,8 +385,8 @@ mod tests {
     fn keyed_pushes_are_reproducible_across_draining_and_overflow() {
         // The same (t, key) set pops identically no matter the push
         // order or which structure (cur / ring / overflow) each entry
-        // landed in — the property the sharded engine's rollback
-        // re-pushes rely on.
+        // landed in — what makes the engine's schedule a pure function
+        // of (cycle, warp) rather than of push history.
         let events: &[(u64, u64, u32)] = &[
             (10, 2, 0),
             (10, 0, 1),

@@ -37,5 +37,5 @@ pub use frames::{
 pub use mshr::{Mshr, RegisterOutcome};
 pub use page_table::{PageTable, PteFlags};
 pub use shootdown::ShootdownDirectory;
-pub use tlb::{ReferenceTlb, Tlb, TlbLookup, TlbOp};
+pub use tlb::{ReferenceTlb, Tlb, TlbLookup};
 pub use walk::RadixWalkModel;

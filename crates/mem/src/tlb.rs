@@ -39,96 +39,6 @@ pub enum TlbLookup {
     Miss,
 }
 
-/// The precise inverse record of one mutating TLB operation, produced
-/// by the `*_logged` variants and consumed by [`Tlb::undo`].
-///
-/// The sharded engine executes events speculatively between barriers
-/// and must be able to rewind a TLB to its exact pre-event state when
-/// a cross-shard serialization point (a far-fault) lands earlier in
-/// the canonical order. Every observable of the TLB — recency order,
-/// entry set, generation stamps, hit/miss counters, the huge side
-/// table — is restored exactly; slot indices and free-list order are
-/// implementation details no lookup can observe (they are not even
-/// serialized by [`Tlb::save_state`]), and the inverses below restore
-/// those too, so undo is literal, not merely observational.
-#[derive(Clone, Copy, Debug)]
-pub enum TlbOp {
-    /// A [`lookup_gen`](Tlb::lookup_gen) hit: the slot moved to the
-    /// MRU end; `prev`/`next` are its list neighbours beforehand.
-    LookupHit {
-        /// Slot that was touched.
-        slot: u32,
-        /// Its previous-neighbour slot before the touch (`NIL` = LRU).
-        prev: u32,
-        /// Its next-neighbour slot before the touch (`NIL` = MRU).
-        next: u32,
-    },
-    /// A [`lookup_gen`](Tlb::lookup_gen) miss that reclaimed a stale
-    /// entry: the slot was unlinked, freed, and unindexed (its stored
-    /// page/generation were left in place).
-    LookupStale {
-        /// The page whose stale entry was reclaimed.
-        page: PageId,
-        /// The reclaimed slot.
-        slot: u32,
-        /// Its previous-neighbour slot before the unlink.
-        prev: u32,
-        /// Its next-neighbour slot before the unlink.
-        next: u32,
-    },
-    /// A [`lookup_gen`](Tlb::lookup_gen) miss on an absent page: only
-    /// the miss counter moved.
-    LookupAbsent,
-    /// A fill that evicted the LRU victim and reused its slot.
-    FillEvict {
-        /// The newly installed page.
-        page: PageId,
-        /// The evicted page (previous occupant of `slot`).
-        victim: PageId,
-        /// The victim's generation stamp.
-        victim_generation: u32,
-        /// The reused slot (was the LRU).
-        slot: u32,
-        /// The victim's next-neighbour before the unlink (it had no
-        /// previous neighbour: it was the LRU end).
-        next: u32,
-    },
-    /// A fill that reused a free-list slot.
-    FillFree {
-        /// The newly installed page.
-        page: PageId,
-        /// The slot popped from the free list.
-        slot: u32,
-    },
-    /// A fill that grew the slot slab.
-    FillGrow {
-        /// The newly installed page (in the last slab slot).
-        page: PageId,
-    },
-    /// A [`lookup_huge`](Tlb::lookup_huge) hit: only the hit counter
-    /// moved.
-    HugeHit,
-    /// A [`lookup_huge`](Tlb::lookup_huge) that reclaimed a stale
-    /// huge entry.
-    HugeStale {
-        /// The large page whose entry was reclaimed.
-        lp: LargePageId,
-        /// The reclaimed (stale) epoch stamp.
-        stamp: u64,
-    },
-    /// A [`lookup_huge`](Tlb::lookup_huge) on an absent large page:
-    /// nothing moved.
-    HugeAbsent,
-    /// A [`fill_huge`](Tlb::fill_huge): the previous stamp (if any)
-    /// was overwritten.
-    FillHuge {
-        /// The filled large page.
-        lp: LargePageId,
-        /// The stamp it held before, `None` if absent.
-        prev: Option<u64>,
-    },
-}
-
 /// Index sentinel: no slot.
 const NIL: u32 = u32::MAX;
 
@@ -334,196 +244,6 @@ impl Tlb {
         self.huge.remove(&lp).is_some()
     }
 
-    /// [`lookup_gen`](Self::lookup_gen) that also returns the inverse
-    /// record for [`undo`](Self::undo).
-    pub fn lookup_gen_logged(&mut self, page: PageId, generation: u32) -> (TlbLookup, TlbOp) {
-        match self.index.get(&page) {
-            Some(&slot) => {
-                let Slot { prev, next, .. } = self.slots[slot as usize];
-                if self.slots[slot as usize].generation == generation {
-                    self.touch(slot);
-                    self.hits += 1;
-                    (TlbLookup::Hit, TlbOp::LookupHit { slot, prev, next })
-                } else {
-                    self.index.remove(&page);
-                    self.unlink(slot);
-                    self.free.push(slot);
-                    self.misses += 1;
-                    (
-                        TlbLookup::Miss,
-                        TlbOp::LookupStale {
-                            page,
-                            slot,
-                            prev,
-                            next,
-                        },
-                    )
-                }
-            }
-            None => {
-                self.misses += 1;
-                (TlbLookup::Miss, TlbOp::LookupAbsent)
-            }
-        }
-    }
-
-    /// [`lookup_huge`](Self::lookup_huge) that also returns the
-    /// inverse record for [`undo`](Self::undo).
-    pub fn lookup_huge_logged(&mut self, lp: LargePageId, generation: u64) -> (bool, TlbOp) {
-        match self.huge.get(&lp) {
-            Some(&stamp) if stamp == generation => {
-                self.hits += 1;
-                (true, TlbOp::HugeHit)
-            }
-            Some(&stamp) => {
-                self.huge.remove(&lp);
-                (false, TlbOp::HugeStale { lp, stamp })
-            }
-            None => (false, TlbOp::HugeAbsent),
-        }
-    }
-
-    /// [`fill_huge`](Self::fill_huge) that also returns the inverse
-    /// record for [`undo`](Self::undo).
-    pub fn fill_huge_logged(&mut self, lp: LargePageId, generation: u64) -> TlbOp {
-        let prev = self.huge.insert(lp, generation);
-        TlbOp::FillHuge { lp, prev }
-    }
-
-    /// [`fill_after_miss`](Self::fill_after_miss) that also returns
-    /// the inverse record for [`undo`](Self::undo).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `page` is already cached.
-    pub fn fill_after_miss_logged(
-        &mut self,
-        page: PageId,
-        generation: u32,
-    ) -> (Option<PageId>, TlbOp) {
-        debug_assert!(
-            !self.index.contains_key(&page),
-            "fill_after_miss_logged({page}) but the page is cached; use fill"
-        );
-        if self.index.len() == self.capacity {
-            let slot = self.lru;
-            let Slot {
-                page: victim,
-                generation: victim_generation,
-                next,
-                ..
-            } = self.slots[slot as usize];
-            self.index.remove(&victim);
-            self.unlink(slot);
-            let s = &mut self.slots[slot as usize];
-            s.page = page;
-            s.generation = generation;
-            self.push_mru(slot);
-            self.index.insert(page, slot);
-            (
-                Some(victim),
-                TlbOp::FillEvict {
-                    page,
-                    victim,
-                    victim_generation,
-                    slot,
-                    next,
-                },
-            )
-        } else if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            s.page = page;
-            s.generation = generation;
-            self.push_mru(slot);
-            self.index.insert(page, slot);
-            (None, TlbOp::FillFree { page, slot })
-        } else {
-            self.slots.push(Slot {
-                page,
-                generation,
-                prev: NIL,
-                next: NIL,
-            });
-            let slot = (self.slots.len() - 1) as u32;
-            self.push_mru(slot);
-            self.index.insert(page, slot);
-            (None, TlbOp::FillGrow { page })
-        }
-    }
-
-    /// Reverts one logged operation. Ops must be undone in exact
-    /// reverse order of application; the TLB is then restored
-    /// *literally* — recency list, slot layout, free-list order,
-    /// counters, and huge table all match the pre-op state, so
-    /// subsequent behavior is bit-for-bit what it would have been had
-    /// the reverted ops never run.
-    pub fn undo(&mut self, op: TlbOp) {
-        match op {
-            TlbOp::LookupHit { slot, prev, next } => {
-                self.hits -= 1;
-                self.unlink(slot);
-                self.insert_between(slot, prev, next);
-            }
-            TlbOp::LookupStale {
-                page,
-                slot,
-                prev,
-                next,
-            } => {
-                self.misses -= 1;
-                let freed = self.free.pop();
-                debug_assert_eq!(freed, Some(slot), "undo out of order");
-                self.insert_between(slot, prev, next);
-                self.index.insert(page, slot);
-            }
-            TlbOp::LookupAbsent => {
-                self.misses -= 1;
-            }
-            TlbOp::FillEvict {
-                page,
-                victim,
-                victim_generation,
-                slot,
-                next,
-            } => {
-                self.index.remove(&page);
-                self.unlink(slot);
-                let s = &mut self.slots[slot as usize];
-                s.page = victim;
-                s.generation = victim_generation;
-                // The victim sat at the LRU end (prev = NIL).
-                self.insert_between(slot, NIL, next);
-                self.index.insert(victim, slot);
-            }
-            TlbOp::FillFree { page, slot } => {
-                self.index.remove(&page);
-                self.unlink(slot);
-                self.free.push(slot);
-            }
-            TlbOp::FillGrow { page } => {
-                self.index.remove(&page);
-                let slot = (self.slots.len() - 1) as u32;
-                self.unlink(slot);
-                self.slots.pop();
-            }
-            TlbOp::HugeHit => {
-                self.hits -= 1;
-            }
-            TlbOp::HugeStale { lp, stamp } => {
-                self.huge.insert(lp, stamp);
-            }
-            TlbOp::HugeAbsent => {}
-            TlbOp::FillHuge { lp, prev } => match prev {
-                Some(stamp) => {
-                    self.huge.insert(lp, stamp);
-                }
-                None => {
-                    self.huge.remove(&lp);
-                }
-            },
-        }
-    }
-
     /// Current number of cached huge-page translations (stale entries
     /// included until a lookup reclaims them).
     pub fn huge_len(&self) -> usize {
@@ -683,24 +403,6 @@ impl Tlb {
             self.mru = prev;
         } else {
             self.slots[next as usize].prev = prev;
-        }
-    }
-
-    /// Re-links a detached `slot` between `prev` and `next` (either
-    /// may be `NIL` for the LRU/MRU end) — the undo counterpart of
-    /// [`unlink`](Self::unlink).
-    fn insert_between(&mut self, slot: u32, prev: u32, next: u32) {
-        self.slots[slot as usize].prev = prev;
-        self.slots[slot as usize].next = next;
-        if prev == NIL {
-            self.lru = slot;
-        } else {
-            self.slots[prev as usize].next = slot;
-        }
-        if next == NIL {
-            self.mru = slot;
-        } else {
-            self.slots[next as usize].prev = slot;
         }
     }
 
@@ -931,108 +633,6 @@ mod tests {
         // Re-coalesce at the new epoch.
         tlb.fill_huge(lp, 3);
         assert!(tlb.lookup_huge(lp, 3));
-    }
-
-    /// Serialized bytes plus counters: everything `save_state` pins.
-    fn observe(tlb: &Tlb) -> Vec<u8> {
-        let mut w = uvm_types::codec::ByteWriter::new();
-        tlb.save_state(&mut w);
-        w.into_bytes()
-    }
-
-    /// Differential undo test: run a random mix of logged operations
-    /// (lookups across generations, small and huge fills) against a
-    /// TLB with history, undo them in reverse, and require the state
-    /// to be *literally* restored — same serialized bytes, and same
-    /// bytes again after a further shared op sequence as a pristine
-    /// clone (which checks unobservable slot/free-list layout too,
-    /// since future evictions depend on it).
-    #[test]
-    fn logged_ops_undo_to_identical_state() {
-        use uvm_types::rng::{Rng, SmallRng};
-        let mut rng = SmallRng::seed_from_u64(0x7e5bca11);
-        let mut tlb = Tlb::new(8);
-        // Build up history: fills, hits, shootdown-style generation
-        // bumps, huge entries, invalidations.
-        let mut generation = [0u32; 32];
-        for step in 0u64..200 {
-            let page = PageId::new(rng.next_below(32));
-            let g = generation[page.index() as usize];
-            match rng.next_below(5) {
-                0 => {
-                    if tlb.lookup_gen(page, g) == TlbLookup::Miss {
-                        tlb.fill_after_miss(page, g);
-                    }
-                }
-                1 => {
-                    let _ = tlb.lookup_gen(page, g);
-                }
-                2 => {
-                    generation[page.index() as usize] += 1;
-                    tlb.invalidate(page);
-                }
-                3 => {
-                    tlb.fill_huge(LargePageId::new(rng.next_below(4)), step / 50);
-                }
-                _ => {
-                    let _ = tlb.lookup_huge(LargePageId::new(rng.next_below(4)), step / 50);
-                }
-            }
-        }
-        let pristine = tlb.clone();
-        let before = observe(&tlb);
-
-        // Speculative phase: logged ops only.
-        let mut ops = Vec::new();
-        for step in 0u64..300 {
-            let page = PageId::new(rng.next_below(32));
-            let g = generation[page.index() as usize];
-            match rng.next_below(4) {
-                0 | 1 => {
-                    let (res, op) = tlb.lookup_gen_logged(page, g);
-                    ops.push(op);
-                    if res == TlbLookup::Miss {
-                        let (_, op) = tlb.fill_after_miss_logged(page, g);
-                        ops.push(op);
-                    }
-                }
-                2 => {
-                    let (_, op) =
-                        tlb.lookup_huge_logged(LargePageId::new(rng.next_below(4)), step / 40);
-                    ops.push(op);
-                }
-                _ => {
-                    ops.push(tlb.fill_huge_logged(LargePageId::new(rng.next_below(4)), step / 40));
-                }
-            }
-        }
-        assert_ne!(observe(&tlb), before, "ops should have moved state");
-
-        // Rollback.
-        for op in ops.into_iter().rev() {
-            tlb.undo(op);
-        }
-        assert_eq!(observe(&tlb), before, "undo must restore state");
-
-        // Literal restoration: identical future behavior, including
-        // eviction choices that hinge on slot/free-list internals.
-        let mut undone = tlb;
-        let mut fresh = pristine;
-        for _ in 0..200 {
-            let page = PageId::new(rng.next_below(32));
-            let g = generation[page.index() as usize];
-            if undone.lookup_gen(page, g) == TlbLookup::Miss {
-                let a = undone.fill_after_miss(page, g);
-                let b = match fresh.lookup_gen(page, g) {
-                    TlbLookup::Miss => fresh.fill_after_miss(page, g),
-                    TlbLookup::Hit => panic!("divergent lookup result"),
-                };
-                assert_eq!(a, b, "divergent eviction victim");
-            } else {
-                assert_eq!(fresh.lookup_gen(page, g), TlbLookup::Hit);
-            }
-        }
-        assert_eq!(observe(&undone), observe(&fresh));
     }
 
     #[test]

@@ -119,10 +119,9 @@ pub struct RunKey(u128);
 /// sweep's prefix — everything except the tail `prefetch`/`evict`
 /// pair. Both the run key and the prefix-group digest build on this,
 /// so the two can never silently disagree about what "same prefix"
-/// means. The `checkpoint`, `audit`, and `engine_threads` fields are
-/// intentionally NOT hashed: checkpointing off must be a strict no-op
-/// on identity, and every sharded-execution width produces the
-/// byte-identical schedule.
+/// means. The `checkpoint` and `audit` fields are intentionally NOT
+/// hashed: checkpointing off must be a strict no-op on identity, and
+/// the auditor only reads state.
 fn hash_shared_opts(h: &mut StableHasher, opts: &RunOptions) {
     h.write_opt_f64(opts.memory_frac);
     h.write_bool(opts.disable_prefetch_on_oversubscription);

@@ -131,13 +131,6 @@ pub struct RunOptions {
     /// boundary. Schedule-inert (read-only cross-checks); also
     /// enabled by the `UVM_AUDIT=1` environment variable.
     pub audit: bool,
-    /// Sharded-execution width for the engine (DESIGN.md §13):
-    /// `Some(1)` = the serial loop, `Some(0)` = size to the host,
-    /// `Some(n)` = `n` SM shards. `None` (the default) defers to the
-    /// process-wide `UVM_ENGINE_THREADS` override, else serial.
-    /// Byte-identical results at every width, so — like `checkpoint`
-    /// and `audit` — this is not part of a run's identity.
-    pub engine_threads: Option<usize>,
 }
 
 impl Default for RunOptions {
@@ -159,7 +152,6 @@ impl Default for RunOptions {
             trace_export: None,
             checkpoint: None,
             audit: false,
-            engine_threads: None,
         }
     }
 }
@@ -270,15 +262,6 @@ impl RunOptions {
     /// boundary (also switched on globally by `UVM_AUDIT=1`).
     pub fn with_audit(mut self, audit: bool) -> Self {
         self.audit = audit;
-        self
-    }
-
-    /// Sets the engine's sharded-execution width: `1` = the serial
-    /// loop, `0` = size to the host's parallelism, `n` = partition the
-    /// SMs across `n` shards with deterministic epoch barriers
-    /// (DESIGN.md §13). Every width produces byte-identical results.
-    pub fn with_engine_threads(mut self, n: usize) -> Self {
-        self.engine_threads = Some(n);
         self
     }
 
@@ -444,23 +427,6 @@ impl From<uvm_types::codec::CodecError> for SimError {
 /// flag, or the `UVM_AUDIT=1` environment switch (any value but `0`).
 fn audit_enabled(opts: &RunOptions) -> bool {
     opts.audit || std::env::var("UVM_AUDIT").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The sharded-execution width in force for a run: the explicit
-/// [`RunOptions::with_engine_threads`] value, else the process-wide
-/// `UVM_ENGINE_THREADS` environment override (set by the bench
-/// binaries' `--engine-threads` flag; non-numeric values fall back to
-/// serial), else `1` — the serial loop. Like the checkpoint override,
-/// the environment route exists because the width never changes
-/// results or run identity.
-fn effective_engine_threads(opts: &RunOptions) -> usize {
-    if let Some(n) = opts.engine_threads {
-        return n;
-    }
-    std::env::var("UVM_ENGINE_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
 }
 
 /// The checkpoint spec in force for a run: the explicit
@@ -644,7 +610,6 @@ fn build_engine(
         workload.build(&mut malloc)
     };
     let mut engine = Engine::new(gmmu, opts.gpu.clone());
-    engine.set_engine_threads(effective_engine_threads(opts));
     if opts.trace || opts.trace_export.is_some() {
         engine.enable_trace();
     }
@@ -1205,9 +1170,6 @@ pub fn try_resume_run(prefix: &SweepPrefix, opts: &RunOptions) -> Result<RunResu
         "resume_run options should carry the sweep's warm-up"
     );
     let mut engine = prefix.snapshot.fork();
-    // The fork inherits the prefix engine's width; the tail honors
-    // *these* options (result-inert either way).
-    engine.set_engine_threads(effective_engine_threads(opts));
     engine
         .gmmu_mut()
         .swap_policies(opts.prefetch.clone(), opts.evict.clone());
