@@ -242,6 +242,49 @@ fn bench_gmmu_faults(b: &Bench) {
         }
         black_box(gmmu.stats().pages_evicted);
     });
+
+    // Over-subscription's common case (paper Secs. 4.2 and 5): the
+    // device is full, so LRU-4KB frees exactly one frame per fault and
+    // TBNp's prefetch budget is 0. A sweep over an allocation four
+    // times the device misses on every page once two laps have filled
+    // the device; the set-up runs those laps and checks that each
+    // fault then migrates and evicts exactly one page.
+    let mut gmmu = Gmmu::new(
+        UvmConfig::default()
+            .with_capacity(Bytes::mib(1))
+            .with_prefetch(PrefetchPolicy::TreeBasedNeighborhood)
+            .with_evict(EvictPolicy::LruPage),
+    );
+    let base = gmmu.malloc_managed(Bytes::mib(4));
+    let pages = Bytes::mib(4).pages_ceil();
+    let mut now = Cycle::ZERO;
+    let mut next = 0u64;
+    let mut fault_next = |gmmu: &mut Gmmu| {
+        let page = base.page().add(next % pages);
+        next += 1;
+        if !gmmu.is_resident(page) {
+            let res = gmmu.handle_fault(page, now);
+            now = res.fault_page_ready();
+        }
+        gmmu.record_access(page, false);
+    };
+    for _ in 0..2 * pages {
+        fault_next(&mut gmmu);
+    }
+    let before = gmmu.stats().clone();
+    for _ in 0..64 {
+        fault_next(&mut gmmu);
+    }
+    let after = gmmu.stats();
+    assert_eq!(after.far_faults - before.far_faults, 64);
+    assert_eq!(after.pages_migrated - before.pages_migrated, 64);
+    assert_eq!(after.pages_evicted - before.pages_evicted, 64);
+    b.bench("gmmu/fault_tbnp_lru4k_full_device", || {
+        for _ in 0..64 {
+            fault_next(&mut gmmu);
+        }
+        black_box(gmmu.stats().pages_evicted);
+    });
 }
 
 fn main() {

@@ -2,8 +2,9 @@
 //!
 //! The workspace builds fully offline, so there is no criterion; this
 //! harness covers what the bench targets need: warmup, auto-calibrated
-//! batch sizes, best-of-three sampling, ns/iter reporting, and
-//! substring filtering (`cargo bench -- <filter>`). Unlike criterion's
+//! batch sizes, three timed samples reported as best ns/iter plus their
+//! min/median/max spread, and substring filtering
+//! (`cargo bench -- <filter>`). Unlike criterion's
 //! `iter_batched`, per-iteration setup is timed along with the body —
 //! the bench closures here keep setup either hoisted or cheap.
 
@@ -18,12 +19,24 @@ const BATCH_TARGET: Duration = Duration::from_millis(100);
 const HEAVY: Duration = Duration::from_millis(200);
 const SAMPLES: u32 = 3;
 
+/// One report row: a case's best ns/iter (or a recorded value) and,
+/// for timed cases, the spread of its samples.
+#[derive(Clone, Debug, PartialEq)]
+struct Row {
+    name: String,
+    ns_per_iter: f64,
+    /// `[min, median, max]` ns/iter over the timed samples. `None` for
+    /// [`Bench::record`] values and for rows of reports written before
+    /// the harness kept its samples.
+    spread: Option<[f64; 3]>,
+}
+
 /// A benchmark runner: construct once per bench target, call
 /// [`bench`](Self::bench) per case.
 pub struct Bench {
     filter: Option<String>,
-    /// Every `(name, best ns/iter)` measured so far, for JSON export.
-    results: RefCell<Vec<(String, f64)>>,
+    /// Every row measured so far, for JSON export.
+    results: RefCell<Vec<Row>>,
 }
 
 impl Bench {
@@ -37,8 +50,9 @@ impl Bench {
         }
     }
 
-    /// Times `f`, printing `<name>  <ns>/iter`. Returns the best
-    /// per-iteration time in nanoseconds (`None` if filtered out).
+    /// Times `f`, printing `<name>  <ns>/iter` and the min/median/max
+    /// of the samples. Returns the best per-iteration time in
+    /// nanoseconds (`None` if filtered out).
     pub fn bench<F: FnMut()>(&self, name: &str, mut f: F) -> Option<f64> {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
@@ -50,15 +64,15 @@ impl Bench {
         f();
         let first = t0.elapsed();
 
-        let ns = if first >= HEAVY {
-            // Heavy case: best of single calls, warmup call included.
-            let mut best = first;
+        let mut samples: Vec<f64> = if first >= HEAVY {
+            // Heavy case: single calls, warmup call included.
+            let mut samples = vec![first.as_nanos() as f64];
             for _ in 0..SAMPLES - 1 {
                 let t = Instant::now();
                 f();
-                best = best.min(t.elapsed());
+                samples.push(t.elapsed().as_nanos() as f64);
             }
-            best.as_nanos() as f64
+            samples
         } else {
             // Refine the per-iteration estimate, then time batches.
             let mut iters = 1u64;
@@ -69,19 +83,34 @@ impl Bench {
             }
             let per = (first + warm.elapsed()).as_nanos() as f64 / iters as f64;
             let n = ((BATCH_TARGET.as_nanos() as f64 / per.max(1.0)) as u64).clamp(1, 10_000_000);
-            let mut best = f64::INFINITY;
-            for _ in 0..SAMPLES {
-                let t = Instant::now();
-                for _ in 0..n {
-                    f();
-                }
-                best = best.min(t.elapsed().as_nanos() as f64 / n as f64);
-            }
-            best
+            (0..SAMPLES)
+                .map(|_| {
+                    let t = Instant::now();
+                    for _ in 0..n {
+                        f();
+                    }
+                    t.elapsed().as_nanos() as f64 / n as f64
+                })
+                .collect()
         };
+        samples.sort_by(f64::total_cmp);
+        let spread = [
+            samples[0],
+            samples[samples.len() / 2],
+            samples[samples.len() - 1],
+        ];
+        let ns = spread[0];
 
-        println!("{name:<48} {:>15} ns/iter", group_digits(ns.round() as u64));
-        self.results.borrow_mut().push((name.to_string(), ns));
+        let [min, median, max] = spread.map(|v| group_digits(v.round() as u64));
+        println!(
+            "{name:<48} {:>15} ns/iter  (min {min}, median {median}, max {max})",
+            group_digits(ns.round() as u64)
+        );
+        self.results.borrow_mut().push(Row {
+            name: name.to_string(),
+            ns_per_iter: ns,
+            spread: Some(spread),
+        });
         Some(ns)
     }
 
@@ -91,7 +120,11 @@ impl Bench {
     /// so the JSON artifact carries them alongside raw timings.
     pub fn record(&self, name: &str, value: f64) {
         println!("{name:<48} {value:>15.2}");
-        self.results.borrow_mut().push((name.to_string(), value));
+        self.results.borrow_mut().push(Row {
+            name: name.to_string(),
+            ns_per_iter: value,
+            spread: None,
+        });
     }
 
     /// Writes every result measured so far as a JSON report (the CI
@@ -109,7 +142,7 @@ impl Bench {
     /// target rewriting the other's numbers.
     pub fn write_json(&self, suite: &str, path: &Path) -> std::io::Result<()> {
         let mut suites: Vec<String> = Vec::new();
-        let mut merged: Vec<(String, f64)> = Vec::new();
+        let mut merged: Vec<Row> = Vec::new();
         if let Ok(existing) = std::fs::read_to_string(path) {
             if let Some((old_suites, entries)) = parse_report(&existing) {
                 suites = old_suites;
@@ -121,10 +154,10 @@ impl Bench {
                 suites.push(s.to_string());
             }
         }
-        for (name, ns) in self.results.borrow().iter() {
-            match merged.iter_mut().find(|(n, _)| n == name) {
-                Some(slot) => slot.1 = *ns,
-                None => merged.push((name.clone(), *ns)),
+        for row in self.results.borrow().iter() {
+            match merged.iter_mut().find(|r| r.name == row.name) {
+                Some(slot) => *slot = row.clone(),
+                None => merged.push(row.clone()),
             }
         }
 
@@ -132,12 +165,15 @@ impl Bench {
         writeln!(f, "{{")?;
         writeln!(f, "  \"suite\": \"{}\",", suites.join("+"))?;
         writeln!(f, "  \"results\": [")?;
-        for (i, (name, ns)) in merged.iter().enumerate() {
+        for (i, row) in merged.iter().enumerate() {
             let comma = if i + 1 < merged.len() { "," } else { "" };
+            let spread = row.spread.map_or(String::new(), |[min, median, max]| {
+                format!(", \"min\": {min:.1}, \"median\": {median:.1}, \"max\": {max:.1}")
+            });
             writeln!(
                 f,
-                "    {{\"name\": \"{name}\", \"ns_per_iter\": {:.1}}}{comma}",
-                ns
+                "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}{spread}}}{comma}",
+                row.name, row.ns_per_iter
             )?;
         }
         writeln!(f, "  ]")?;
@@ -154,30 +190,37 @@ impl Bench {
     }
 }
 
-/// Suite names (`+`-separated in the file) plus `(name, ns_per_iter)`
-/// entries of an existing report.
-type ParsedReport = (Vec<String>, Vec<(String, f64)>);
+/// Suite names (`+`-separated in the file) plus the rows of an
+/// existing report.
+type ParsedReport = (Vec<String>, Vec<Row>);
 
-/// Parses a report this harness previously wrote. Returns `None`
-/// for anything that is not a harness report (the caller then starts
-/// fresh rather than merging).
+/// Parses a report this harness previously wrote, with or without the
+/// min/median/max fields. Returns `None` for anything that is not a
+/// harness report (the caller then starts fresh rather than merging).
 fn parse_report(text: &str) -> Option<ParsedReport> {
     let suite = text.split("\"suite\": \"").nth(1)?.split('"').next()?;
     let suites = suite.split('+').map(str::to_string).collect();
-    let mut entries = Vec::new();
+    let mut rows = Vec::new();
     for line in text.lines() {
         let Some(rest) = line.trim().strip_prefix("{\"name\": \"") else {
             continue;
         };
         let (name, rest) = rest.split_once('"')?;
-        let value = rest
-            .split("\"ns_per_iter\":")
-            .nth(1)?
-            .trim()
-            .trim_end_matches([',', '}', ' ']);
-        entries.push((name.to_string(), value.parse().ok()?));
+        let field = |key: &str| -> Option<f64> {
+            let value = rest.split(&format!("\"{key}\":")).nth(1)?;
+            value.split([',', '}']).next()?.trim().parse().ok()
+        };
+        let spread = match (field("min"), field("median"), field("max")) {
+            (Some(min), Some(median), Some(max)) => Some([min, median, max]),
+            _ => None,
+        };
+        rows.push(Row {
+            name: name.to_string(),
+            ns_per_iter: field("ns_per_iter")?,
+            spread,
+        });
     }
-    Some((suites, entries))
+    Some((suites, rows))
 }
 
 fn group_digits(v: u64) -> String {
@@ -232,12 +275,23 @@ mod tests {
     fn json_reports_merge_across_suites() {
         let path =
             std::env::temp_dir().join(format!("uvm_bench_merge_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        // A report in the format written before rows carried their
+        // spread: its rows must be read, kept and merged like any other.
+        std::fs::write(
+            &path,
+            "{\n  \"suite\": \"old_suite\",\n  \"results\": [\n    \
+             {\"name\": \"only_old\", \"ns_per_iter\": 3.0},\n    \
+             {\"name\": \"timed_case\", \"ns_per_iter\": 4.0}\n  ]\n}\n",
+        )
+        .expect("write old-format report");
 
         let a = bench_with_filter(None);
         a.record("shared_case", 10.0);
         a.record("only_a", 1.0);
-        a.write_json("suite_a", &path).expect("write first report");
+        a.bench("timed_case", || {
+            std::hint::black_box(1 + 1);
+        });
+        a.write_json("suite_a", &path).expect("merge first report");
 
         let b = bench_with_filter(None);
         b.record("shared_case", 20.0);
@@ -246,16 +300,27 @@ mod tests {
 
         let report = std::fs::read_to_string(&path).expect("read report");
         let _ = std::fs::remove_file(&path);
-        assert!(report.contains("\"suite\": \"suite_a+suite_b\""));
+        assert!(report.contains("\"suite\": \"old_suite+suite_a+suite_b\""));
         // Kept, updated in place, and appended respectively.
-        assert!(report.contains("\"name\": \"only_a\", \"ns_per_iter\": 1.0"));
+        assert!(report.contains("\"name\": \"only_old\", \"ns_per_iter\": 3.0}"));
+        assert!(report.contains("\"name\": \"only_a\", \"ns_per_iter\": 1.0}"));
         assert!(report.contains("\"name\": \"shared_case\", \"ns_per_iter\": 20.0"));
         assert!(report.contains("\"name\": \"only_b\", \"ns_per_iter\": 2.0"));
         // The shared case was not duplicated.
         assert_eq!(report.matches("shared_case").count(), 1);
-        let (suites, entries) = parse_report(&report).expect("round-trips");
-        assert_eq!(suites, vec!["suite_a", "suite_b"]);
-        assert_eq!(entries.len(), 3);
+        let (suites, rows) = parse_report(&report).expect("round-trips");
+        assert_eq!(suites, vec!["old_suite", "suite_a", "suite_b"]);
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["only_old", "timed_case", "shared_case", "only_a", "only_b"]
+        );
+        // The re-measured old row now carries its spread; recorded and
+        // untouched old rows carry none.
+        let spread_of = |name: &str| rows.iter().find(|r| r.name == name).unwrap().spread;
+        assert!(spread_of("timed_case").is_some());
+        assert_eq!(spread_of("only_old"), None);
+        assert_eq!(spread_of("shared_case"), None);
     }
 
     #[test]
@@ -271,5 +336,20 @@ mod tests {
         assert!(report.contains("\"suite\": \"selftest\""));
         assert!(report.contains("\"name\": \"case_a\""));
         assert!(report.contains("ns_per_iter"));
+        for key in ["\"min\":", "\"median\":", "\"max\":"] {
+            assert!(report.contains(key), "{key} missing from {report}");
+        }
+        // What was written parses back to the measured rows (to the
+        // one decimal the report keeps), and the best sample is both
+        // `ns_per_iter` and `min`.
+        let (suites, rows) = parse_report(&report).expect("parses back");
+        assert_eq!(suites, vec!["selftest"]);
+        let measured = &b.results.borrow()[0];
+        let [min, median, max] = rows[0].spread.expect("timed rows carry a spread");
+        assert_eq!(rows[0].name, measured.name);
+        assert_eq!(min, rows[0].ns_per_iter);
+        assert!(min <= median && median <= max);
+        let written = measured.spread.unwrap().map(|v| format!("{v:.1}"));
+        assert_eq!([min, median, max].map(|v| format!("{v:.1}")), written);
     }
 }

@@ -497,33 +497,11 @@ impl Gmmu {
         let mut prefetch = if self.prefetch_disabled || congested {
             Vec::new()
         } else {
-            let lp_tracking = self.lp_tracking();
-            let Gmmu {
-                prefetcher,
-                rng,
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg,
-                huge_mapped,
-                lp_resident,
-                ..
-            } = self;
-            let view = ResidencyView::new(
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg.reserve_frac,
-                huge_mapped,
-                lp_resident,
-                lp_tracking,
-            );
+            let (view, prefetcher, _, rng) = self.policy_view();
             prefetcher.plan(&view, rng, page, alloc_id)
         };
+        // The planner saw this budget; trimming here keeps the
+        // mechanism correct for planners that ignore it.
         let mut room = self.frames.free_frames().saturating_sub(1);
         for group in &mut prefetch {
             let keep = (room as usize).min(group.len());
@@ -757,31 +735,7 @@ impl Gmmu {
         // a forced demotion.
         if !self.huge_mapped.is_empty() {
             let splinter = {
-                let lp_tracking = self.lp_tracking();
-                let Gmmu {
-                    evictor,
-                    rng,
-                    page_table,
-                    allocs,
-                    resident,
-                    ready_at,
-                    unaccessed_demand,
-                    cfg,
-                    huge_mapped,
-                    lp_resident,
-                    ..
-                } = self;
-                let view = ResidencyView::new(
-                    page_table,
-                    allocs,
-                    resident,
-                    ready_at,
-                    unaccessed_demand,
-                    cfg.reserve_frac,
-                    huge_mapped,
-                    lp_resident,
-                    lp_tracking,
-                );
+                let (view, _, evictor, rng) = self.policy_view();
                 evictor.select_splinter(&view, rng, pin_time)
             };
             if let Some(lp) = splinter {
@@ -794,31 +748,7 @@ impl Gmmu {
         // (in-flight prefetched) pages. Hard-pinned demand pages are
         // never victims.
         let groups = {
-            let lp_tracking = self.lp_tracking();
-            let Gmmu {
-                evictor,
-                rng,
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg,
-                huge_mapped,
-                lp_resident,
-                ..
-            } = self;
-            let view = ResidencyView::new(
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg.reserve_frac,
-                huge_mapped,
-                lp_resident,
-                lp_tracking,
-            );
+            let (view, _, evictor, rng) = self.policy_view();
             evictor
                 .select_victims(&view, rng, pin_time, PIN_NONE)
                 .or_else(|| evictor.select_victims(&view, rng, pin_time, PIN_SOFT))?
@@ -1005,6 +935,50 @@ impl Gmmu {
         }
     }
 
+    /// Splits the borrows every policy call needs: the read-only
+    /// residency view, both policies, and the driver's RNG. The view's
+    /// prefetch budget is the frames free right now minus the one a
+    /// fault page takes — exactly the room `handle_fault` trims the
+    /// plan to, since it builds the view after demand eviction.
+    fn policy_view(
+        &mut self,
+    ) -> (
+        ResidencyView<'_>,
+        &mut dyn Prefetcher,
+        &mut dyn Evictor,
+        &mut SmallRng,
+    ) {
+        let lp_tracking = self.lp_tracking();
+        let prefetch_budget = self.frames.free_frames().saturating_sub(1) as usize;
+        let Gmmu {
+            prefetcher,
+            evictor,
+            rng,
+            page_table,
+            allocs,
+            resident,
+            ready_at,
+            unaccessed_demand,
+            cfg,
+            huge_mapped,
+            lp_resident,
+            ..
+        } = self;
+        let view = ResidencyView::new(
+            page_table,
+            allocs,
+            resident,
+            ready_at,
+            unaccessed_demand,
+            cfg.reserve_frac,
+            huge_mapped,
+            lp_resident,
+            lp_tracking,
+            prefetch_budget,
+        );
+        (view, prefetcher.as_mut(), evictor.as_mut(), rng)
+    }
+
     /// Promotes `lp` to a single huge mapping if the mechanism's
     /// preconditions hold — fully resident on a physically contiguous,
     /// 2 MB-aligned frame range — and the prefetcher's
@@ -1029,30 +1003,7 @@ impl Gmmu {
             }
         }
         let approved = {
-            let lp_tracking = self.lp_tracking();
-            let Gmmu {
-                prefetcher,
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg,
-                huge_mapped,
-                lp_resident,
-                ..
-            } = self;
-            let view = ResidencyView::new(
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg.reserve_frac,
-                huge_mapped,
-                lp_resident,
-                lp_tracking,
-            );
+            let (view, prefetcher, _, _) = self.policy_view();
             prefetcher.should_coalesce(&view, lp)
         };
         if !approved {
@@ -1586,6 +1537,8 @@ impl std::error::Error for AuditError {}
 mod tests {
     use super::*;
     use crate::policy::{EvictPolicy, PrefetchPolicy};
+    use crate::prefetch::LearnedPrefetcher;
+    use crate::trace::{train_table, TraceKind, TraceRecord};
     use uvm_types::Duration;
 
     fn first_page_of_block(base: VirtAddr, block: u64) -> PageId {
@@ -2208,6 +2161,144 @@ mod tests {
             assert!(g.resident_pages() <= g.capacity_frames());
         }
         assert!(g.stats().pages_evicted > 0);
+    }
+
+    /// The prefetch-budget contract for every registry prefetcher (and
+    /// `learned` serving a trained table): at budgets 0, 1, 17 and
+    /// unbounded, the mechanism-trimmed plan equals the trimmed
+    /// unbounded plan, and the RNG's next draw and the policy's
+    /// `save_state` bytes are the same as after an unbounded plan.
+    #[test]
+    fn prefetch_budget_contract() {
+        fn trim(mut groups: Vec<Vec<PageId>>, budget: usize) -> Vec<Vec<PageId>> {
+            let mut room = budget;
+            for group in &mut groups {
+                group.truncate(room);
+                room -= group.len();
+            }
+            groups.retain(|g| !g.is_empty());
+            groups
+        }
+        fn state_bytes(policy: &dyn Prefetcher) -> Vec<u8> {
+            let mut w = uvm_types::codec::ByteWriter::new();
+            policy.save_state(&mut w);
+            w.into_bytes()
+        }
+
+        let registry = PolicyRegistry::global();
+        let cfg = UvmConfig::default();
+        let mut rng = SmallRng::seed_from_u64(0x00B0_D6E7);
+        let mut checked = 0usize;
+        for _ in 0..8 {
+            // A random residency over a 2 MB-aligned and a ragged
+            // allocation: scattered demand pages plus a few bulk copies
+            // that leave whole blocks valid.
+            let mut g = Gmmu::new(cfg.clone().with_prefetch(PrefetchPolicy::None));
+            let ranges = [
+                (g.malloc_managed(Bytes::mib(4)), 1024u64),
+                (g.malloc_managed(Bytes::kib(2600)), 650),
+            ];
+            let random_page = |rng: &mut SmallRng| {
+                let (base, pages) = ranges[rng.gen_range(0..ranges.len())];
+                base.page().add(rng.gen_range(0..pages))
+            };
+            let target = rng.gen_range(0..1600u64);
+            while g.resident_pages() < target {
+                let p = random_page(&mut rng);
+                if !g.is_resident(p) {
+                    g.handle_fault(p, Cycle::ZERO);
+                }
+            }
+            for _ in 0..rng.gen_range(0..4u64) {
+                let (base, pages) = ranges[rng.gen_range(0..ranges.len())];
+                let start = base.offset(Bytes::kib(4 * rng.gen_range(0..pages)));
+                g.mem_prefetch_async(start, Bytes::kib(4 * rng.gen_range(1..200u64)), Cycle::ZERO);
+            }
+
+            // Markov and learned only predict along a learned stride:
+            // warm both on one, and fault along it below.
+            let (stride_base, _) = ranges[0];
+            let stride: Vec<TraceRecord> = (0..48)
+                .map(|k| TraceRecord {
+                    kind: TraceKind::Fault,
+                    cycle: k,
+                    page: stride_base.page().index() + 3 * k,
+                })
+                .collect();
+            let mut policies: Vec<Box<dyn Prefetcher>> = registry
+                .prefetcher_names()
+                .iter()
+                .map(|name| {
+                    registry
+                        .build_prefetcher_spec(&name.parse().unwrap(), &cfg)
+                        .unwrap()
+                })
+                .collect();
+            policies.push(Box::new(LearnedPrefetcher::with_table(
+                train_table(&stride, 2, 8),
+                16,
+            )));
+
+            let faults: Vec<PageId> = (0..32)
+                .map(|k| match k {
+                    0..16 => stride_base.page().add(3 * k),
+                    _ => random_page(&mut rng),
+                })
+                .filter(|&p| !g.is_resident(p))
+                .collect();
+            let alloc_of: Vec<AllocId> = faults
+                .iter()
+                .map(|&p| g.allocs.find_by_page(p).unwrap().id())
+                .collect();
+            let (view, _, _, _) = g.policy_view();
+            for policy in &mut policies {
+                for (&page, &alloc) in faults.iter().zip(&alloc_of) {
+                    let mut full_rng = rng.clone();
+                    let mut full_policy = policy.snapshot_box();
+                    let full = full_policy.plan(
+                        &view.with_prefetch_budget(usize::MAX),
+                        &mut full_rng,
+                        page,
+                        alloc,
+                    );
+                    for group in &full {
+                        assert!(group.iter().all(|&p| p != page && !view.is_valid(p)));
+                    }
+                    for budget in [0, 1, 17, usize::MAX] {
+                        let mut budget_rng = rng.clone();
+                        let mut budget_policy = policy.snapshot_box();
+                        let plan = budget_policy.plan(
+                            &view.with_prefetch_budget(budget),
+                            &mut budget_rng,
+                            page,
+                            alloc,
+                        );
+                        let name = policy.name();
+                        assert_eq!(
+                            trim(plan, budget),
+                            trim(full.clone(), budget),
+                            "{name} plan, budget {budget}, fault {page}"
+                        );
+                        assert_eq!(
+                            budget_rng.next_u64(),
+                            full_rng.clone().next_u64(),
+                            "{name} RNG, budget {budget}"
+                        );
+                        assert_eq!(
+                            state_bytes(budget_policy.as_ref()),
+                            state_bytes(full_policy.as_ref()),
+                            "{name} state, budget {budget}"
+                        );
+                    }
+                    checked += usize::from(!full.is_empty());
+                    // Carry the unbounded outcome forward, so history
+                    // planners see the fault stream build up.
+                    *policy = full_policy;
+                    rng = full_rng;
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} non-empty plans exercised");
     }
 
     #[test]

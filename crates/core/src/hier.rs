@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use uvm_types::hash::FxBuildHasher;
 use uvm_types::{BasicBlockId, LargePageId, PageId};
 
 use crate::lru::LruQueue;
@@ -36,14 +37,14 @@ pub struct HierarchicalLru {
     /// Large pages, LRU-ordered by chunk access time.
     large_pages: LruQueue<LargePageId>,
     /// Per large page: its resident basic blocks, LRU-ordered.
-    blocks: HashMap<LargePageId, LruQueue<BasicBlockId>>,
+    blocks: HashMap<LargePageId, LruQueue<BasicBlockId>, FxBuildHasher>,
     /// Resident pages per basic block.
-    pages_per_block: HashMap<BasicBlockId, u32>,
+    pages_per_block: HashMap<BasicBlockId, u32, FxBuildHasher>,
     /// Resident pages per large page, maintained incrementally so the
     /// candidate scans can skip a whole large page in O(1) instead of
     /// re-summing its blocks (the TBN-family policies call
     /// [`candidate`](Self::candidate) on every eviction).
-    lp_pages: HashMap<LargePageId, u64>,
+    lp_pages: HashMap<LargePageId, u64, FxBuildHasher>,
     /// Total resident pages tracked.
     total_pages: u64,
 }

@@ -5,6 +5,8 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use uvm_types::hash::FxBuildHasher;
+
 /// Sentinel slot index for "no neighbour".
 const NIL: u32 = u32::MAX;
 
@@ -21,7 +23,10 @@ struct Slot<K> {
 ///
 /// Internally an intrusive doubly-linked list over a slab of slots,
 /// indexed by a `key -> slot` hash map — the same layout as the
-/// per-SM TLB. Every simulated memory access touches an evictor
+/// per-SM TLB, and like it keyed with [`FxBuildHasher`] rather than
+/// std's randomly keyed SipHash, which cost more than the list work
+/// itself on the per-access hooks. The index is only ever probed,
+/// never iterated, so its hasher cannot reach any observable. Every simulated memory access touches an evictor
 /// recency list (often two, for the hierarchical policies), so the
 /// earlier `BTreeMap`-by-stamp representation's O(log n) touch with
 /// its node allocations was one of the largest line items of the
@@ -48,7 +53,7 @@ pub struct LruQueue<K> {
     /// Indices of vacant slots in `slots`.
     free: Vec<u32>,
     /// key -> its slot index.
-    index: HashMap<K, u32>,
+    index: HashMap<K, u32, FxBuildHasher>,
     /// LRU end of the list (`NIL` when empty).
     head: u32,
     /// MRU end of the list (`NIL` when empty).
@@ -60,7 +65,7 @@ impl<K: Clone + Eq + Hash> Default for LruQueue<K> {
         LruQueue {
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             head: NIL,
             tail: NIL,
         }

@@ -95,6 +95,8 @@ impl Prefetcher for LearnedPrefetcher {
         page: PageId,
         alloc: AllocId,
     ) -> Vec<Vec<PageId>> {
+        // No early exit at a zero prefetch budget: every fault must
+        // update the delta history, room to land the prediction or not.
         if let Some(last) = self.last_fault {
             let delta = page.index() as i64 - last as i64;
             if delta != 0 {

@@ -164,6 +164,8 @@ impl Prefetcher for MarkovPrefetcher {
         page: PageId,
         alloc: AllocId,
     ) -> Vec<Vec<PageId>> {
+        // No early exit at a zero prefetch budget: every fault must
+        // train the table, room to land the prediction or not.
         if let Some(last) = self.last_fault {
             let delta = page.index() as i64 - last as i64;
             if delta != 0 {

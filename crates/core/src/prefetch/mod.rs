@@ -2,9 +2,9 @@
 //!
 //! Each prefetcher lives in its own module and implements
 //! [`Prefetcher`]; the `Gmmu` mechanism asks it for transfer groups on
-//! every far-fault and handles everything else (budget trimming,
-//! congestion throttling, the kill-switch, PCI-e scheduling,
-//! validation). Policies observe driver state only through the
+//! every far-fault, shows it the budget of frames it may fill, and
+//! handles everything else (budget trimming, congestion throttling,
+//! the kill-switch, PCI-e scheduling, validation). Policies observe driver state only through the
 //! read-only [`ResidencyView`].
 
 mod learned;
@@ -73,9 +73,20 @@ pub(crate) fn parse_param(
 ///   is moved as one PCI-e transfer. The faulty page itself must NOT
 ///   appear — it travels as its own 4 KB fault-group transfer.
 /// * Planned pages must be invalid (`!view.is_valid(p)`) and lie
-///   inside a managed allocation; the mechanism debug-asserts this
-///   and trims groups to the free-frame budget, so over-planning is
+///   inside a managed allocation.
+/// * The budget: [`ResidencyView::prefetch_budget`] is how many
+///   planned pages the mechanism keeps — the frames free after demand
+///   eviction, minus the faulty page's. It keeps the first that many
+///   pages in group order and drops the rest, so over-planning is
 ///   wasted work, not a correctness bug.
+/// * Only a *pure* planner — one whose plan reads nothing but `view`
+///   and `page`, and which draws no randomness and updates no state
+///   while planning (TBNp, SLp, SZp, S256p, MOSp) — may use the budget:
+///   return nothing at 0, stop emitting once it is reached, and keep
+///   its groups in the order a full plan would have. Planners that draw
+///   from `rng` or learn from each fault (Rp, markov, learned) must
+///   plan in full at any budget, so their RNG stream and history stay
+///   the same whether or not there is room to land the plan.
 /// * All randomness must come from the supplied `rng` — it is the
 ///   driver's single seeded stream, which keeps whole simulations
 ///   reproducible and lets policies share it deterministically.

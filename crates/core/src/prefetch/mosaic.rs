@@ -25,9 +25,9 @@ const FINISH_THRESHOLD: u64 = PAGES_PER_LARGE_PAGE / 2;
 /// ([`wants_contiguous_placement`](Prefetcher::wants_contiguous_placement))
 /// and approves coalescing ([`should_coalesce`](Prefetcher::should_coalesce)).
 ///
-/// The mechanism still trims every plan to the free-frame budget, so
-/// the finish-the-page groups are dropped first under pressure (they
-/// are appended after the tree plan).
+/// Planning stops at the view's prefetch budget, as the mechanism
+/// would trim there anyway, so the finish-the-page group is dropped
+/// first under pressure (it is appended after the tree plan).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MosaicPrefetcher;
 
@@ -50,6 +50,10 @@ impl Prefetcher for MosaicPrefetcher {
         page: PageId,
         alloc: AllocId,
     ) -> Vec<Vec<PageId>> {
+        let mut budget = view.prefetch_budget();
+        if budget == 0 {
+            return Vec::new();
+        }
         let fault_block = page.basic_block();
         let alloc = view.alloc(alloc);
         let tree = alloc
@@ -70,8 +74,10 @@ impl Prefetcher for MosaicPrefetcher {
             pages.extend(
                 (0..len)
                     .flat_map(|i| start.add(i).pages())
-                    .filter(|&p| p != page && !view.is_valid(p)),
+                    .filter(|&p| p != page && !view.is_valid(p))
+                    .take(budget),
             );
+            budget -= pages.len();
             for &p in &pages {
                 if p.large_page() == lp {
                     in_plan[(p.index() - lp.first_page().index()) as usize] = true;
@@ -79,6 +85,11 @@ impl Prefetcher for MosaicPrefetcher {
             }
             if !pages.is_empty() {
                 groups.push(pages);
+            }
+            // Out of budget: everything after, the finish-the-page
+            // remainder included, would be trimmed.
+            if budget == 0 {
+                return groups;
             }
         }
 
@@ -96,6 +107,7 @@ impl Prefetcher for MosaicPrefetcher {
                         && !in_plan[(p.index() - first.index()) as usize]
                         && !view.is_valid(p)
                 })
+                .take(budget)
                 .collect();
             if !remainder.is_empty() {
                 groups.push(remainder);

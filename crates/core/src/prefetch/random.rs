@@ -25,6 +25,8 @@ impl Prefetcher for RandomPrefetcher {
         page: PageId,
         alloc: AllocId,
     ) -> Vec<Vec<PageId>> {
+        // No early exit at a zero prefetch budget: the draw below must
+        // advance the shared RNG whether or not the page can land.
         let alloc = view.alloc(alloc);
         let lp_first = page.large_page().first_page();
         let start = lp_first.index().max(alloc.first_page().index());

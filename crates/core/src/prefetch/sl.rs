@@ -25,11 +25,16 @@ impl Prefetcher for SlPrefetcher {
         page: PageId,
         _alloc: AllocId,
     ) -> Vec<Vec<PageId>> {
+        let budget = view.prefetch_budget();
+        if budget == 0 {
+            return Vec::new();
+        }
         let mut group: Vec<PageId> = Vec::with_capacity(PAGES_PER_BASIC_BLOCK as usize);
         group.extend(
             page.basic_block()
                 .pages()
-                .filter(|&p| p != page && !view.is_valid(p)),
+                .filter(|&p| p != page && !view.is_valid(p))
+                .take(budget),
         );
         if group.is_empty() {
             Vec::new()

@@ -27,12 +27,17 @@ impl Prefetcher for Sz512kPrefetcher {
         page: PageId,
         alloc: AllocId,
     ) -> Vec<Vec<PageId>> {
+        let budget = view.prefetch_budget();
+        if budget == 0 {
+            return Vec::new();
+        }
         let end = view.alloc(alloc).end_page().index();
         let mut group: Vec<PageId> = Vec::with_capacity(128);
         group.extend(
             (page.index() + 1..(page.index() + 128).min(end))
                 .map(PageId::new)
-                .filter(|&p| !view.is_valid(p)),
+                .filter(|&p| !view.is_valid(p))
+                .take(budget),
         );
         if group.is_empty() {
             Vec::new()

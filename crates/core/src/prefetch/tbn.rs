@@ -33,6 +33,13 @@ impl Prefetcher for TbnPrefetcher {
         page: PageId,
         alloc: AllocId,
     ) -> Vec<Vec<PageId>> {
+        // The mechanism keeps only the first `budget` planned pages;
+        // at 0 (4 KB demand eviction under over-subscription, nearly
+        // every fault) the tree walk would be thrown away whole.
+        let mut budget = view.prefetch_budget();
+        if budget == 0 {
+            return Vec::new();
+        }
         let fault_block = page.basic_block();
         let alloc = view.alloc(alloc);
         let tree = alloc
@@ -47,8 +54,12 @@ impl Prefetcher for TbnPrefetcher {
 
         let mut groups = Vec::with_capacity(runs.len());
         for (start, len) in runs {
-            let mut pages: Vec<PageId> = Vec::with_capacity((len * PAGES_PER_BASIC_BLOCK) as usize);
+            let cap = ((len * PAGES_PER_BASIC_BLOCK) as usize).min(budget);
+            let mut pages: Vec<PageId> = Vec::with_capacity(cap);
             for i in 0..len {
+                if pages.len() >= budget {
+                    break;
+                }
                 let block = start.add(i);
                 // The tree's per-leaf counts mirror page-table validity
                 // exactly (maintained on admit/expel), so the common
@@ -60,8 +71,13 @@ impl Prefetcher for TbnPrefetcher {
                     _ => pages.extend(block.pages().filter(|&p| p != page && !view.is_valid(p))),
                 }
             }
+            pages.truncate(budget);
+            budget -= pages.len();
             if !pages.is_empty() {
                 groups.push(pages);
+            }
+            if budget == 0 {
+                break;
             }
         }
         groups

@@ -54,6 +54,8 @@ pub struct ResidencyView<'a> {
     /// while a huge-page policy is active (`lp_tracking`).
     lp_resident: &'a HashMap<LargePageId, u32, FxBuildHasher>,
     lp_tracking: bool,
+    /// Prefetched pages the mechanism keeps from the current plan.
+    prefetch_budget: usize,
 }
 
 impl<'a> ResidencyView<'a> {
@@ -68,6 +70,7 @@ impl<'a> ResidencyView<'a> {
         huge_mapped: &'a BTreeSet<LargePageId>,
         lp_resident: &'a HashMap<LargePageId, u32, FxBuildHasher>,
         lp_tracking: bool,
+        prefetch_budget: usize,
     ) -> Self {
         ResidencyView {
             page_table,
@@ -79,7 +82,16 @@ impl<'a> ResidencyView<'a> {
             huge_mapped,
             lp_resident,
             lp_tracking,
+            prefetch_budget,
         }
+    }
+
+    /// The same view with a different prefetch budget, so tests can
+    /// plan one residency against several budgets.
+    #[cfg(test)]
+    pub(crate) fn with_prefetch_budget(mut self, prefetch_budget: usize) -> Self {
+        self.prefetch_budget = prefetch_budget;
+        self
     }
 
     /// `true` if `page` has a valid PTE.
@@ -120,6 +132,20 @@ impl<'a> ResidencyView<'a> {
     /// resident.
     pub fn sample_resident<R: Rng>(&self, rng: &mut R) -> Option<PageId> {
         self.resident.sample(rng)
+    }
+
+    /// How many prefetched pages the mechanism will keep from the plan
+    /// of the fault being serviced: the frames still free after demand
+    /// eviction, minus the one the faulty page takes. Fixed before
+    /// [`Prefetcher::plan`](crate::Prefetcher::plan) runs, because
+    /// planning never touches frames. The mechanism keeps the first
+    /// `prefetch_budget()` planned pages in group order and drops the
+    /// rest, so a pure planner may stop once it has emitted this many
+    /// (and skip planning entirely at 0). Under over-subscription with
+    /// 4 KB demand eviction it is 0 on almost every fault (Secs. 4.2
+    /// and 5); without a memory limit it is effectively unbounded.
+    pub fn prefetch_budget(&self) -> usize {
+        self.prefetch_budget
     }
 
     /// Fraction of the LRU top protected from eviction (Sec. 5.3's
@@ -202,6 +228,7 @@ impl std::fmt::Debug for ResidencyView<'_> {
         f.debug_struct("ResidencyView")
             .field("resident", &self.resident.len())
             .field("reserve_frac", &self.reserve_frac)
+            .field("prefetch_budget", &self.prefetch_budget)
             .finish_non_exhaustive()
     }
 }

@@ -3,8 +3,12 @@
 //! * [`StableHasher`] — a stable 128-bit content hasher for on-disk
 //!   cache keys, and
 //! * [`FxHasher`] — a fast in-process hasher for hot-path hash maps
-//!   (per-SM TLB indexes), where SipHash's per-byte mixing would eat
-//!   the lookup-structure win.
+//!   (per-SM TLB indexes, the GMMU's huge-page tables, and the
+//!   evictors' recency lists `LruQueue` and `HierarchicalLru`, which
+//!   every simulated access touches), where SipHash's per-byte mixing
+//!   would eat the lookup-structure win. Unlike std's SipHash it is
+//!   not randomly keyed, so even a map's iteration order repeats from
+//!   run to run.
 //!
 //! `std::hash::Hasher` implementations (SipHash) are randomly keyed
 //! per process, so they cannot name on-disk cache entries. The FNV-1a
