@@ -285,6 +285,49 @@ fn bench_gmmu_faults(b: &Bench) {
         }
         black_box(gmmu.stats().pages_evicted);
     });
+
+    // The 2 MB eviction path (paper Sec. 7.5): a 4-large-page device
+    // under a sweep four times its size, TBNp filling each large page
+    // and LRU-2MB writing back a whole cold large page at a time. Each
+    // iteration sweeps one large page's worth of pages; the set-up
+    // runs two laps and checks that every eviction then expels 512
+    // pages.
+    let mut gmmu = Gmmu::new(
+        UvmConfig::default()
+            .with_capacity(Bytes::mib(8))
+            .with_prefetch(PrefetchPolicy::TreeBasedNeighborhood)
+            .with_evict(EvictPolicy::LruLargePage),
+    );
+    let base = gmmu.malloc_managed(Bytes::mib(32));
+    let pages = Bytes::mib(32).pages_ceil();
+    let mut now = Cycle::ZERO;
+    let mut next = 0u64;
+    let mut sweep_large_page = |gmmu: &mut Gmmu| {
+        for _ in 0..512 {
+            let page = base.page().add(next % pages);
+            next += 1;
+            if !gmmu.is_resident(page) {
+                let res = gmmu.handle_fault(page, now);
+                now = res.fault_page_ready();
+            }
+            gmmu.record_access(page, false);
+        }
+    };
+    for _ in 0..2 * pages / 512 {
+        sweep_large_page(&mut gmmu);
+    }
+    let before = gmmu.stats().clone();
+    for _ in 0..pages / 512 {
+        sweep_large_page(&mut gmmu);
+    }
+    let after = gmmu.stats();
+    let evictions = after.evictions - before.evictions;
+    assert!(evictions > 0, "the sweep must evict");
+    assert_eq!(after.pages_evicted - before.pages_evicted, 512 * evictions);
+    b.bench("gmmu/fault_tbnp_lru2mb_full_device", || {
+        sweep_large_page(&mut gmmu);
+        black_box(gmmu.stats().pages_evicted);
+    });
 }
 
 fn main() {

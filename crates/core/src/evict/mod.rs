@@ -48,6 +48,12 @@ use crate::view::ResidencyView;
 /// * The `on_*` hooks mirror the driver's page state transitions so a
 ///   policy can maintain recency/frequency structures; they fire for
 ///   every page regardless of which policy planned its migration.
+/// * The mechanism admits and expels a whole transfer group at a time
+///   and reports it through [`on_validate_group`](Self::on_validate_group)
+///   / [`on_invalidate_group`](Self::on_invalidate_group), with the
+///   pages in mechanism order (the order the per-page hooks would have
+///   seen them). The defaults loop over the per-page hooks; an
+///   override must leave exactly the state that loop would leave.
 /// * Policies observe driver state only through `view` and must not
 ///   assume their hooks saw pages admitted before the policy was
 ///   installed.
@@ -74,6 +80,24 @@ pub trait Evictor: fmt::Debug + Send + Sync {
 
     /// A page was invalidated (evicted).
     fn on_invalidate(&mut self, _page: PageId) {}
+
+    /// A group of pages became valid, in mechanism order. Must leave
+    /// the state [`on_validate`](Self::on_validate) on each page in
+    /// turn would leave (the default does exactly that).
+    fn on_validate_group(&mut self, pages: &[PageId]) {
+        for &page in pages {
+            self.on_validate(page);
+        }
+    }
+
+    /// A group of pages was invalidated, in mechanism order. Must
+    /// leave the state [`on_invalidate`](Self::on_invalidate) on each
+    /// page in turn would leave (the default does exactly that).
+    fn on_invalidate_group(&mut self, pages: &[PageId]) {
+        for &page in pages {
+            self.on_invalidate(page);
+        }
+    }
 
     /// Chooses the victim groups (each group = one write-back
     /// transfer), or `None` if no eligible victim exists.

@@ -75,6 +75,14 @@ impl Evictor for MosaicEvictor {
         self.hier.on_invalidate_page(page);
     }
 
+    fn on_validate_group(&mut self, pages: &[PageId]) {
+        self.hier.on_validate_group(pages);
+    }
+
+    fn on_invalidate_group(&mut self, pages: &[PageId]) {
+        self.hier.on_invalidate_group(pages);
+    }
+
     fn select_splinter(
         &mut self,
         view: &ResidencyView<'_>,

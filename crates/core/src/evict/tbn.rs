@@ -48,6 +48,14 @@ impl Evictor for TbnEvictor {
         self.hier.on_invalidate_page(page);
     }
 
+    fn on_validate_group(&mut self, pages: &[PageId]) {
+        self.hier.on_validate_group(pages);
+    }
+
+    fn on_invalidate_group(&mut self, pages: &[PageId]) {
+        self.hier.on_invalidate_group(pages);
+    }
+
     fn select_victims(
         &mut self,
         view: &ResidencyView<'_>,

@@ -16,14 +16,19 @@
 //!    channel — the faulty page first as its own 4 KB transfer, then
 //!    the prefetch groups (Sec. 3.2/3.3 fault-group/prefetch-group
 //!    split),
-//! 5. validates the pages and reports per-page data-ready times.
+//! 5. validates the pages, a transfer group at a time
+//!    ([`Gmmu::admit_group`]; expulsion likewise goes by victim group),
+//!    and reports per-page data-ready times. Frames, PTEs and per-page
+//!    counters change per page in group order; the allocation trees,
+//!    the large-page counts and the evictor's bookkeeping change once
+//!    per run of pages.
 //!
 //! Policy lives elsewhere: the prefetchers ([`crate::prefetch`]) and
 //! evictors ([`crate::evict`]) are trait objects resolved from the
 //! [`PolicyRegistry`] and observe driver state only through the
 //! read-only [`ResidencyView`]. The mechanism feeds their recency /
-//! frequency bookkeeping via the `on_validate`/`on_access`/
-//! `on_invalidate` hooks and owns every mutation: PTEs, frames, the
+//! frequency bookkeeping via the `on_validate_group`/`on_access`/
+//! `on_invalidate_group` hooks and owns every mutation: PTEs, frames, the
 //! shared TBN trees, pin state, and statistics.
 
 use std::collections::{BTreeSet, HashMap};
@@ -33,7 +38,8 @@ use uvm_mem::{FrameAllocator, FrameId, PageTable};
 use uvm_types::hash::FxBuildHasher;
 use uvm_types::rng::{Rng, SmallRng};
 use uvm_types::{
-    Bytes, Cycle, Duration, LargePageId, PageId, VirtAddr, PAGES_PER_LARGE_PAGE, PAGE_SIZE,
+    BasicBlockId, Bytes, Cycle, Duration, LargePageId, PageId, VirtAddr, PAGES_PER_LARGE_PAGE,
+    PAGE_SIZE,
 };
 
 use crate::alloc::{AllocId, Allocations};
@@ -46,6 +52,7 @@ use crate::prefetch::Prefetcher;
 use crate::registry::PolicyRegistry;
 use crate::spec::PolicySpec;
 use crate::stats::UvmStats;
+use crate::tree::AllocTree;
 use crate::view::{ResidencyView, PIN_NONE, PIN_SOFT};
 
 /// The result of servicing one far-fault.
@@ -90,6 +97,16 @@ struct HugeMapping {
     /// The huge fast-path activates only once every constituent page's
     /// migration has landed (max in-flight arrival at promotion time).
     active_from: Cycle,
+}
+
+/// `chunk_by` predicate: `a` and `b` lie in the same 64 KB basic block.
+fn same_basic_block(a: &PageId, b: &PageId) -> bool {
+    a.basic_block() == b.basic_block()
+}
+
+/// `chunk_by` predicate: `a` and `b` lie in the same 2 MB large page.
+fn same_large_page(a: &PageId, b: &PageId) -> bool {
+    a.large_page() == b.large_page()
 }
 
 /// The GMMU and UVM software-runtime model.
@@ -521,17 +538,15 @@ impl Gmmu {
         // Fault group first (4 KB), then the prefetch groups.
         let mut ready = Vec::with_capacity(needed as usize);
         let t = self.schedule_read(migrate_from, PAGE_SIZE);
-        self.admit_page(page, t, false);
+        self.admit_group(&[page], t, false);
         ready.push((page, t));
         let mut last_finish = t;
         for group in prefetch {
             let size = PAGE_SIZE * group.len() as u64;
             let t = self.schedule_read(migrate_from, size);
             last_finish = last_finish.max(t);
-            for p in group {
-                self.admit_page(p, t, true);
-                ready.push((p, t));
-            }
+            self.admit_group(&group, t, true);
+            ready.extend(group.into_iter().map(|p| (p, t)));
         }
         // The fault is retired only once its migration completes: the
         // host runtime's lane stays occupied until the copy lands, so
@@ -584,10 +599,8 @@ impl Gmmu {
                 let (_, barrier) = gmmu.ensure_frames(chunk.len() as u64, now, now);
                 let at = barrier.map_or(now, |b| b.max(now));
                 let t = gmmu.schedule_read(at, PAGE_SIZE * chunk.len() as u64);
-                for &p in chunk {
-                    gmmu.admit_page(p, t, true);
-                    ready.push((p, t));
-                }
+                gmmu.admit_group(chunk, t, true);
+                ready.extend(chunk.iter().map(|&p| (p, t)));
             }
             run.clear();
         };
@@ -782,9 +795,7 @@ impl Gmmu {
                 let wb = self.schedule_write(wb_time, size);
                 finish = finish.max(wb);
             }
-            for &p in &group {
-                self.expel_page(p);
-            }
+            self.expel_group(&group);
             all.extend(group);
         }
         if all.is_empty() {
@@ -799,87 +810,124 @@ impl Gmmu {
     // Page state transitions
     // ------------------------------------------------------------------
 
-    /// Makes `page` resident: allocates a frame, validates the PTE,
-    /// and registers it in every tracking structure (including the
-    /// eviction policy's bookkeeping and the shared TBN trees).
-    fn admit_page(&mut self, page: PageId, ready: Cycle, prefetched: bool) {
-        let frame = self.allocate_frame_for(page);
-        self.frame_of.insert(page, frame);
-        self.page_table.validate(page);
-        self.resident.insert(page);
-        self.evictor.on_validate(page);
-        self.ready_at.insert(page, ready);
-        if prefetched {
-            self.unaccessed_prefetch.insert(page);
-        } else {
-            self.unaccessed_demand.insert(page);
-        }
-        if let Some(alloc) = self.allocs.find_by_block_mut(page.basic_block()) {
-            if let Some(tree) = alloc.tree_for_block_mut(page.basic_block()) {
-                tree.add_pages(page.basic_block(), 1);
+    /// Makes a transfer group resident: allocates each page a frame,
+    /// validates its PTE, and registers it in every tracking structure
+    /// (including the eviction policy's bookkeeping and the shared TBN
+    /// trees).
+    ///
+    /// Everything whose order is observable runs per page, in `pages`
+    /// order: frame allocation (the free list and region bitmaps set
+    /// later frame ids), the PTE and the per-page tables and counters.
+    /// The allocation lookup and tree update run once per basic-block
+    /// run, the large-page count once per large-page run, and the
+    /// evictor hears the whole group at once.
+    fn admit_group(&mut self, pages: &[PageId], ready: Cycle, prefetched: bool) {
+        for &page in pages {
+            let frame = self.allocate_frame_for(page);
+            self.frame_of.insert(page, frame);
+            self.page_table.validate(page);
+            self.resident.insert(page);
+            self.ready_at.insert(page, ready);
+            if prefetched {
+                self.unaccessed_prefetch.insert(page);
+            } else {
+                self.unaccessed_demand.insert(page);
+            }
+            if self.evicted_once.contains(page) {
+                self.stats.pages_thrashed += 1;
             }
         }
-        self.stats.pages_migrated += 1;
-        if prefetched {
-            self.stats.pages_prefetched += 1;
+        self.evictor.on_validate_group(pages);
+        for run in pages.chunk_by(same_basic_block) {
+            if let Some(tree) = self.tree_of(run[0].basic_block()) {
+                tree.add_pages(run[0].basic_block(), run.len() as u32);
+            }
         }
-        if self.evicted_once.contains(page) {
-            self.stats.pages_thrashed += 1;
+        let n = pages.len() as u64;
+        self.stats.pages_migrated += n;
+        if prefetched {
+            self.stats.pages_prefetched += n;
         }
         if self.lp_tracking() {
-            *self.lp_resident.entry(page.large_page()).or_insert(0) += 1;
+            for run in pages.chunk_by(same_large_page) {
+                *self.lp_resident.entry(run[0].large_page()).or_insert(0) += run.len() as u32;
+            }
         }
     }
 
-    /// Removes `page` from residency and every tracking structure.
-    fn expel_page(&mut self, page: PageId) {
-        let lp = page.large_page();
-        if self.huge_mapped.contains(&lp) {
-            // Eviction reached into a coalesced large page the policy
-            // did not splinter first: force the demotion (Mosaic's
-            // safety net — correctness never depends on the policy).
-            self.demote(lp);
-            self.stats.huge_pages.forced_splinters += 1;
-        }
-        let flags = self.page_table.invalidate(page);
-        assert!(flags.valid, "expel of non-resident {page}");
-        if !flags.dirty {
-            self.stats.clean_pages_written_back += 1;
-        }
-        if self.unaccessed_prefetch.remove(page) {
-            self.stats.prefetched_wasted += 1;
-        }
-        let frame = self
-            .frame_of
-            .remove(page)
-            .expect("resident page has a frame");
-        self.frames
-            .free(frame)
-            .expect("resident page owns a live frame");
-        self.resident.remove(page);
-        self.evictor.on_invalidate(page);
-        self.ready_at.remove(page);
-        self.unaccessed_demand.remove(page);
-        if let Some(alloc) = self.allocs.find_by_block_mut(page.basic_block()) {
-            if let Some(tree) = alloc.tree_for_block_mut(page.basic_block()) {
-                tree.remove_pages(page.basic_block(), 1);
+    /// Removes a victim group from residency and every tracking
+    /// structure.
+    ///
+    /// Per page, in `pages` order: the PTE, the frame free (its order
+    /// sets later frame ids), the per-page tables and the write-back
+    /// and wasted-prefetch counters. Per large-page run: the forced
+    /// splinter check and the large-page count, whose drain can only
+    /// fall on the run's last page, so the drained large page releases
+    /// its frame region right after that page's frame is freed, where
+    /// a page-at-a-time loop would release it. Per basic-block run: the
+    /// allocation lookup and tree update.
+    fn expel_group(&mut self, pages: &[PageId]) {
+        for lp_run in pages.chunk_by(same_large_page) {
+            let lp = lp_run[0].large_page();
+            if self.huge_mapped.contains(&lp) {
+                // Eviction reached into a coalesced large page the
+                // policy did not splinter first: force the demotion
+                // (Mosaic's safety net — correctness never depends on
+                // the policy).
+                self.demote(lp);
+                self.stats.huge_pages.forced_splinters += 1;
             }
-        }
-        self.evicted_once.insert(page);
-        self.stats.pages_evicted += 1;
-        if self.lp_tracking() {
-            if let Some(count) = self.lp_resident.get_mut(&lp) {
-                *count -= 1;
-                if *count == 0 {
-                    self.lp_resident.remove(&lp);
-                    // The large page drained: hand its soft-reserved
-                    // frame region back as one reusable 2 MB block.
-                    if let Some(base) = self.region_of.remove(&lp) {
-                        self.frames.release_region(base);
+            for bb_run in lp_run.chunk_by(same_basic_block) {
+                for &page in bb_run {
+                    let flags = self.page_table.invalidate(page);
+                    assert!(flags.valid, "expel of non-resident {page}");
+                    if !flags.dirty {
+                        self.stats.clean_pages_written_back += 1;
+                    }
+                    if self.unaccessed_prefetch.remove(page) {
+                        self.stats.prefetched_wasted += 1;
+                    }
+                    let frame = self
+                        .frame_of
+                        .remove(page)
+                        .expect("resident page has a frame");
+                    self.frames
+                        .free(frame)
+                        .expect("resident page owns a live frame");
+                    self.resident.remove(page);
+                    self.ready_at.remove(page);
+                    self.unaccessed_demand.remove(page);
+                    self.evicted_once.insert(page);
+                }
+                if let Some(tree) = self.tree_of(bb_run[0].basic_block()) {
+                    tree.remove_pages(bb_run[0].basic_block(), bb_run.len() as u32);
+                }
+            }
+            if self.lp_tracking() {
+                if let Some(count) = self.lp_resident.get_mut(&lp) {
+                    *count = count
+                        .checked_sub(lp_run.len() as u32)
+                        .expect("lp_resident counts every resident page");
+                    if *count == 0 {
+                        self.lp_resident.remove(&lp);
+                        // The large page drained: hand its soft-reserved
+                        // frame region back as one reusable 2 MB block.
+                        if let Some(base) = self.region_of.remove(&lp) {
+                            self.frames.release_region(base);
+                        }
                     }
                 }
             }
         }
+        self.evictor.on_invalidate_group(pages);
+        self.stats.pages_evicted += pages.len() as u64;
+    }
+
+    /// The allocation tree covering `bb`, if `bb` is managed.
+    fn tree_of(&mut self, bb: BasicBlockId) -> Option<&mut AllocTree> {
+        self.allocs
+            .find_by_block_mut(bb)
+            .and_then(|alloc| alloc.tree_for_block_mut(bb))
     }
 
     // ------------------------------------------------------------------
@@ -2666,5 +2714,231 @@ mod tests {
             err.violations.iter().any(|v| v.contains("valid PTEs")),
             "{err}"
         );
+    }
+
+    /// One step of the seeded stream the group-transition tests drive.
+    enum GroupStep {
+        /// Admit these non-resident pages as one group.
+        Validate(Vec<PageId>),
+        /// Expel these resident pages as one group.
+        Invalidate(Vec<PageId>),
+        /// Access these resident pages (`true`: a write).
+        Access(Vec<(PageId, bool)>),
+    }
+
+    /// Draws the next step over `span` pages from `base`: contiguous
+    /// runs starting near a basic-block or large-page edge, A-B-A
+    /// groups (two pages of one block around a page of the next large
+    /// page), whole large pages, and accesses.
+    fn group_step(
+        rng: &mut SmallRng,
+        base: PageId,
+        span: u64,
+        resident: impl Fn(PageId) -> bool,
+    ) -> GroupStep {
+        let want = rng.gen_bool(0.45);
+        let pages: Vec<PageId> = match rng.gen_range(0..10u32) {
+            0 | 1 => {
+                let a = rng.gen_range(0..span - PAGES_PER_LARGE_PAGE) & !15;
+                let b = a + PAGES_PER_LARGE_PAGE + rng.gen_range(0..16);
+                [a + rng.gen_range(0..8), b, a + 8 + rng.gen_range(0..8)]
+                    .into_iter()
+                    .map(|k| base.add(k))
+                    .filter(|&p| resident(p) == want)
+                    .collect()
+            }
+            2..=5 => {
+                let unit = if rng.gen_bool(0.5) {
+                    PAGES_PER_LARGE_PAGE
+                } else {
+                    16
+                };
+                let edge = rng.gen_range(1..span / unit) * unit;
+                let start = edge.saturating_sub(rng.gen_range(0..20));
+                let len = rng.gen_range(1..80u64);
+                (start..(start + len).min(span))
+                    .map(|k| base.add(k))
+                    .take_while(|&p| resident(p) == want)
+                    .collect()
+            }
+            6 => {
+                let lp = rng.gen_range(0..span / PAGES_PER_LARGE_PAGE) * PAGES_PER_LARGE_PAGE;
+                (lp..lp + PAGES_PER_LARGE_PAGE)
+                    .map(|k| base.add(k))
+                    .filter(|&p| resident(p) == want)
+                    .collect()
+            }
+            _ => {
+                let mut accesses = Vec::new();
+                for _ in 0..8 {
+                    let p = base.add(rng.gen_range(0..span));
+                    if resident(p) {
+                        accesses.push((p, rng.gen_bool(0.3)));
+                    }
+                }
+                return GroupStep::Access(accesses);
+            }
+        };
+        if want {
+            GroupStep::Invalidate(pages)
+        } else {
+            GroupStep::Validate(pages)
+        }
+    }
+
+    /// The group-hook contract: for every registry evictor, an instance
+    /// fed `on_validate_group`/`on_invalidate_group` ends every step in
+    /// the same state as one fed the per-page loop. After each step of
+    /// the seeded group stream, their `save_state` bytes and
+    /// `select_victims` answers must match.
+    #[test]
+    fn evictor_group_hooks_match_per_page_loop() {
+        fn state_bytes(policy: &dyn Evictor) -> Vec<u8> {
+            let mut w = uvm_types::codec::ByteWriter::new();
+            policy.save_state(&mut w);
+            w.into_bytes()
+        }
+
+        let registry = PolicyRegistry::global();
+        let names = registry.evictor_names();
+        for name in ["LRU-4KB", "Re", "SLe", "TBNe", "LRU-2MB", "MOSe", "AFe"] {
+            assert!(names.contains(&name), "registry lost {name}");
+        }
+        let cfg = UvmConfig::default();
+        for name in names {
+            let spec: PolicySpec = name.parse().unwrap();
+            let mut grouped = registry.build_evictor_spec(&spec, &cfg).unwrap();
+            let mut looped = registry.build_evictor_spec(&spec, &cfg).unwrap();
+            // The driver only supplies residency for the views; its own
+            // evictor is never consulted.
+            let mut g = Gmmu::new(cfg.clone().with_prefetch(PrefetchPolicy::None));
+            let base = g.malloc_managed(Bytes::mib(6)).page();
+            let span = 3 * PAGES_PER_LARGE_PAGE;
+            let mut rng = SmallRng::seed_from_u64(0x0006_E00F_9A6E);
+            let mut policy_rng = SmallRng::seed_from_u64(7);
+            for step in 0..400u64 {
+                let now = Cycle::new(step * 500);
+                match group_step(&mut rng, base, span, |p| g.is_resident(p)) {
+                    GroupStep::Validate(pages) => {
+                        let ready = now + Duration::from_cycles(rng.gen_range(0..4000));
+                        g.admit_group(&pages, ready, rng.gen_bool(0.8));
+                        grouped.on_validate_group(&pages);
+                        for &p in &pages {
+                            looped.on_validate(p);
+                        }
+                    }
+                    GroupStep::Invalidate(pages) => {
+                        g.expel_group(&pages);
+                        grouped.on_invalidate_group(&pages);
+                        for &p in &pages {
+                            looped.on_invalidate(p);
+                        }
+                    }
+                    GroupStep::Access(pages) => {
+                        for (p, write) in pages {
+                            g.record_access(p, write);
+                            grouped.on_access(p);
+                            looped.on_access(p);
+                        }
+                    }
+                }
+                assert_eq!(
+                    state_bytes(grouped.as_ref()),
+                    state_bytes(looped.as_ref()),
+                    "{name} state after step {step}"
+                );
+                let (view, _, _, _) = g.policy_view();
+                for max_pin in [PIN_NONE, PIN_SOFT] {
+                    let mut rng_a = policy_rng.clone();
+                    let mut rng_b = policy_rng.clone();
+                    assert_eq!(
+                        grouped.select_victims(&view, &mut rng_a, now, max_pin),
+                        looped.select_victims(&view, &mut rng_b, now, max_pin),
+                        "{name} victims after step {step}, max_pin {max_pin}"
+                    );
+                    assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+                }
+                policy_rng.next_u64();
+            }
+            g.audit().unwrap();
+        }
+    }
+
+    /// The mechanism half of the same contract: a driver admitting and
+    /// expelling whole groups ends every step byte-identical (frames,
+    /// free lists, regions, large-page counts, trees, statistics) to one
+    /// handed each page as a group of one — the page-at-a-time path.
+    /// Run under region placement with coalescing, so region release
+    /// and forced splinters are exercised.
+    #[test]
+    fn group_transitions_match_single_page_groups() {
+        fn state_bytes(g: &Gmmu) -> Vec<u8> {
+            let mut w = uvm_types::codec::ByteWriter::new();
+            g.save_state(&mut w);
+            w.into_bytes()
+        }
+
+        let pairs = [
+            (PrefetchPolicy::MosaicCoalesce, EvictPolicy::MosaicSplinter),
+            (PrefetchPolicy::MosaicCoalesce, EvictPolicy::LruLargePage),
+            (
+                PrefetchPolicy::TreeBasedNeighborhood,
+                EvictPolicy::TreeBasedNeighborhood,
+            ),
+        ];
+        for (prefetch, evict) in pairs {
+            let cfg = UvmConfig::default()
+                .with_prefetch(prefetch)
+                .with_evict(evict);
+            let mut grouped = Gmmu::new(cfg.clone());
+            let mut single = Gmmu::new(cfg);
+            let base = grouped.malloc_managed(Bytes::mib(6)).page();
+            single.malloc_managed(Bytes::mib(6));
+            let span = 3 * PAGES_PER_LARGE_PAGE;
+            let mut rng = SmallRng::seed_from_u64(0x5EED_6A0F);
+            for step in 0..600u64 {
+                let now = Cycle::new(step * 500);
+                match group_step(&mut rng, base, span, |p| grouped.is_resident(p)) {
+                    GroupStep::Validate(pages) => {
+                        let prefetched = rng.gen_bool(0.8);
+                        let ready: Vec<(PageId, Cycle)> = pages.iter().map(|&p| (p, now)).collect();
+                        grouped.admit_group(&pages, now, prefetched);
+                        grouped.promote_candidates(&ready);
+                        for &p in &pages {
+                            single.admit_group(&[p], now, prefetched);
+                        }
+                        single.promote_candidates(&ready);
+                    }
+                    GroupStep::Invalidate(pages) => {
+                        grouped.expel_group(&pages);
+                        for &p in &pages {
+                            single.expel_group(&[p]);
+                        }
+                    }
+                    GroupStep::Access(pages) => {
+                        for (p, write) in pages {
+                            grouped.record_access(p, write);
+                            single.record_access(p, write);
+                        }
+                    }
+                }
+                grouped.sync_frame_stats();
+                single.sync_frame_stats();
+                assert_eq!(
+                    state_bytes(&grouped),
+                    state_bytes(&single),
+                    "{prefetch:?}/{evict:?} state after step {step}"
+                );
+            }
+            grouped.audit().unwrap();
+            let huge = &grouped.stats().huge_pages;
+            let (coalesces, forced) = (huge.coalesces, huge.forced_splinters);
+            if prefetch == PrefetchPolicy::MosaicCoalesce {
+                assert!(
+                    coalesces > 0 && forced > 0,
+                    "{coalesces} coalesces, {forced} forced"
+                );
+            }
+        }
     }
 }

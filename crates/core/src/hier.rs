@@ -19,6 +19,13 @@ use crate::lru::LruQueue;
 /// Hierarchically ordered residency list at (large page, basic block)
 /// granularity.
 ///
+/// Pages arrive one at a time ([`on_validate`](Self::on_validate),
+/// [`on_invalidate_page`](Self::on_invalidate_page)) or as a transfer
+/// group ([`on_validate_group`](Self::on_validate_group),
+/// [`on_invalidate_group`](Self::on_invalidate_group)). The group forms
+/// do one touch and one count update per basic-block run instead of
+/// per page, and leave exactly the state of the per-page loop.
+///
 /// # Examples
 ///
 /// ```
@@ -61,13 +68,27 @@ impl HierarchicalLru {
     /// position just as an access would — a freshly migrated block is
     /// never the immediate next victim.
     pub fn on_validate(&mut self, page: PageId) {
-        let bb = page.basic_block();
-        let lp = page.large_page();
+        self.validate_run(page.basic_block(), 1);
+    }
+
+    /// Group form of [`on_validate`](Self::on_validate): one large-page
+    /// touch, one block touch and one count update per basic-block run
+    /// of `pages`. The end state equals the per-page loop's for any page
+    /// order, because re-touching the entry a run just made MRU changes
+    /// nothing.
+    pub fn on_validate_group(&mut self, pages: &[PageId]) {
+        for run in pages.chunk_by(|a, b| a.basic_block() == b.basic_block()) {
+            self.validate_run(run[0].basic_block(), run.len() as u32);
+        }
+    }
+
+    fn validate_run(&mut self, bb: BasicBlockId, n: u32) {
+        let lp = bb.large_page();
         self.large_pages.touch(lp);
         self.blocks.entry(lp).or_default().touch(bb);
-        *self.pages_per_block.entry(bb).or_insert(0) += 1;
-        *self.lp_pages.entry(lp).or_insert(0) += 1;
-        self.total_pages += 1;
+        *self.pages_per_block.entry(bb).or_insert(0) += n;
+        *self.lp_pages.entry(lp).or_insert(0) += u64::from(n);
+        self.total_pages += u64::from(n);
     }
 
     /// Records an access to `page`: its large page and basic block move
@@ -92,19 +113,33 @@ impl HierarchicalLru {
     /// individually invalidated). Removes the block/large page entries
     /// once empty.
     pub fn on_invalidate_page(&mut self, page: PageId) {
-        let bb = page.basic_block();
+        self.invalidate_run(page.basic_block(), 1);
+    }
+
+    /// Group form of [`on_invalidate_page`](Self::on_invalidate_page):
+    /// one count update per basic-block run of `pages`. A block or
+    /// large page can only drain on a run's last page, so dropping its
+    /// entries after the run leaves the per-page loop's state.
+    pub fn on_invalidate_group(&mut self, pages: &[PageId]) {
+        for run in pages.chunk_by(|a, b| a.basic_block() == b.basic_block()) {
+            self.invalidate_run(run[0].basic_block(), run.len() as u32);
+        }
+    }
+
+    fn invalidate_run(&mut self, bb: BasicBlockId, n: u32) {
         let count = self
             .pages_per_block
             .get_mut(&bb)
+            .filter(|c| **c >= n)
             .expect("invalidate of untracked page");
-        *count -= 1;
-        self.total_pages -= 1;
+        *count -= n;
+        self.total_pages -= u64::from(n);
         let lp = bb.large_page();
         let lp_count = self
             .lp_pages
             .get_mut(&lp)
             .expect("invalidate of untracked large page");
-        *lp_count -= 1;
+        *lp_count -= u64::from(n);
         if *lp_count == 0 {
             self.lp_pages.remove(&lp);
         }

@@ -5,7 +5,9 @@
 //! the same sweep (spill cache + write-ahead journal + per-run
 //! checkpoints), waits until the first member's result has been
 //! durably spilled, and SIGKILLs the child — no destructors, no
-//! flushing, the honest crash. The parent then replays the sweep with
+//! flushing, the honest crash. The child's next member parks in its
+//! workload build until the kill arrives, so the kill lands mid-sweep
+//! however fast the members run. The parent then replays the sweep with
 //! [`Plan::resume`] against the same directories and asserts that
 //!
 //! * the sweep completes, with journal-vouched members served from the
@@ -15,13 +17,15 @@
 //!   reference sweep.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
 use uvm_core::{EvictPolicy, PrefetchPolicy};
+use uvm_gpu::KernelSpec;
 use uvm_sim::{Executor, RunOptions};
-use uvm_workloads::Hotspot;
+use uvm_types::{Bytes, VirtAddr};
+use uvm_workloads::{Hotspot, Workload};
 
 const DIR_ENV: &str = "UVM_KILL_RESUME_DIR";
 
@@ -64,11 +68,44 @@ fn sweep_executor(dir: &Path) -> Executor {
         .with_journal(dir.join("sweep.journal"))
 }
 
+/// The child's workload: the sweep's `Hotspot` under the same name and
+/// signature, so every `RunKey` and checkpoint path is unchanged. Once
+/// the spill directory holds an entry, `build` (which every member's
+/// run calls) parks until the parent's SIGKILL arrives, leaving the
+/// remaining members interrupted.
+#[derive(Clone, Debug)]
+struct ParkAfterFirstSpill {
+    inner: Hotspot,
+    cache: PathBuf,
+}
+
+impl Workload for ParkAfterFirstSpill {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn signature(&self) -> String {
+        self.inner.signature()
+    }
+
+    fn build(&self, malloc: &mut dyn FnMut(Bytes) -> VirtAddr) -> Vec<KernelSpec> {
+        if spilled_entries(&self.cache) >= 1 {
+            loop {
+                std::thread::sleep(Duration::from_secs(60));
+            }
+        }
+        self.inner.build(malloc)
+    }
+}
+
 /// Child role: run the whole sweep sequentially; the parent SIGKILLs
-/// us somewhere in the middle.
+/// us while the second member parks.
 fn child(dir: &Path) {
     let exec = sweep_executor(dir);
-    let w = workload();
+    let w = ParkAfterFirstSpill {
+        inner: workload(),
+        cache: dir.join("cache"),
+    };
     let mut plan = exec.plan();
     for (p, e) in members() {
         plan.submit(&w, options(dir, p, e));
