@@ -24,8 +24,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
-use uvm_types::hash::StableHasher;
+use uvm_types::codec::{payload_checksum, ByteReader, ByteWriter, CodecError};
 
 /// Container magic: the first four bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"UVMC";
@@ -110,12 +109,6 @@ impl CheckpointError {
             CheckpointError::BadMagic | CheckpointError::Checksum | CheckpointError::Codec(_)
         )
     }
-}
-
-fn payload_checksum(payload: &[u8]) -> u128 {
-    let mut h = StableHasher::new();
-    h.write_bytes(payload);
-    h.finish()
 }
 
 /// Wraps `payload` in the `UVMC` envelope.

@@ -25,9 +25,14 @@
 //! the compactness that makes committing traces as CI artifacts
 //! practical.
 //!
-//! The decoder verifies magic, version, and checksum before yielding
-//! any record, so a truncated or bit-flipped file fails loudly
-//! ([`TraceError`]) instead of training a garbage table.
+//! Both formats are written and read with [`uvm_types::codec`]: its
+//! LEB128 varints and zig-zag signed values, `put_raw`/`get_raw` for
+//! the fixed-width little-endian header fields, and its
+//! [`payload_checksum`]. The decoder verifies magic, version, and
+//! checksum before yielding any record, so a truncated or bit-flipped
+//! file fails loudly ([`TraceError`]) instead of training a garbage
+//! table, and every count read from a file is bounded by the bytes
+//! left before anything is allocated for it.
 //!
 //! # The `UVML` learned-table format
 //!
@@ -44,7 +49,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
-use uvm_types::hash::StableHasher;
+use uvm_types::codec::{payload_checksum, ByteReader, ByteWriter, CodecError};
 
 /// Current revision of the `UVMT` trace format.
 pub const TRACE_VERSION: u16 = 1;
@@ -123,16 +128,13 @@ pub enum TraceError {
     BadMagic,
     /// The format revision is newer than this decoder.
     BadVersion(u16),
-    /// The buffer ended mid-field.
-    Truncated,
     /// The payload checksum did not match the header.
     ChecksumMismatch,
-    /// A string field was not valid UTF-8.
-    BadUtf8,
     /// An unknown record tag byte.
     BadTag(u8),
-    /// A varint ran past 64 bits.
-    VarintOverflow,
+    /// A field was truncated or malformed (short input, overlong
+    /// varint, bad UTF-8).
+    Codec(CodecError),
 }
 
 impl fmt::Display for TraceError {
@@ -140,181 +142,113 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::BadMagic => write!(f, "not a UVM trace/table file (bad magic)"),
             TraceError::BadVersion(v) => write!(f, "unsupported format version {v}"),
-            TraceError::Truncated => write!(f, "file truncated"),
             TraceError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
-            TraceError::BadUtf8 => write!(f, "metadata string is not valid UTF-8"),
             TraceError::BadTag(t) => write!(f, "unknown record tag {t}"),
-            TraceError::VarintOverflow => write!(f, "varint overflows 64 bits"),
+            TraceError::Codec(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for TraceError {}
-
-fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn write_ivarint(out: &mut Vec<u8>, v: i64) {
-    write_uvarint(out, zigzag(v));
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// A cursor over an encoded buffer.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let end = self.pos.checked_add(n).ok_or(TraceError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(TraceError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16_le(&mut self) -> Result<u16, TraceError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u64_le(&mut self) -> Result<u64, TraceError> {
-        let b = self.bytes(8)?;
-        let b: [u8; 8] = b.try_into().map_err(|_| TraceError::Truncated)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn u128_le(&mut self) -> Result<u128, TraceError> {
-        let b = self.bytes(16)?;
-        let b: [u8; 16] = b.try_into().map_err(|_| TraceError::Truncated)?;
-        Ok(u128::from_le_bytes(b))
-    }
-
-    fn uvarint(&mut self) -> Result<u64, TraceError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(TraceError::VarintOverflow);
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+impl std::error::Error for TraceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TraceError::Codec(e) => Some(e),
+            _ => None,
         }
     }
+}
 
-    fn ivarint(&mut self) -> Result<i64, TraceError> {
-        Ok(unzigzag(self.uvarint()?))
-    }
-
-    fn string(&mut self) -> Result<String, TraceError> {
-        let len = self.uvarint()? as usize;
-        let raw = self.bytes(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| TraceError::BadUtf8)
+impl From<CodecError> for TraceError {
+    fn from(e: CodecError) -> Self {
+        TraceError::Codec(e)
     }
 }
 
-fn write_string(out: &mut Vec<u8>, s: &str) {
-    write_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// Writes the magic and the fixed-width (u16 LE) format revision.
+fn put_preamble(w: &mut ByteWriter, magic: &[u8; 4], version: u16) {
+    w.put_raw(magic);
+    w.put_raw(&version.to_le_bytes());
 }
 
-fn checksum(payload: &[u8]) -> u128 {
-    let mut h = StableHasher::new();
-    h.write_bytes(payload);
-    h.finish()
+/// Reads and checks the magic and format revision.
+fn check_preamble(r: &mut ByteReader<'_>, magic: &[u8; 4], version: u16) -> Result<(), TraceError> {
+    if r.get_raw(magic.len())? != magic {
+        return Err(TraceError::BadMagic);
+    }
+    let found = u16::from_le_bytes(r.get_array()?);
+    if found != version {
+        return Err(TraceError::BadVersion(found));
+    }
+    Ok(())
+}
+
+/// Writes the payload length, its checksum (u128 LE), and the payload.
+fn put_payload(w: &mut ByteWriter, payload: &[u8]) {
+    w.put_usize(payload.len());
+    w.put_raw(&payload_checksum(payload).to_le_bytes());
+    w.put_raw(payload);
+}
+
+/// Reads the payload that [`put_payload`] wrote, verifying its
+/// checksum before any of it is decoded.
+fn get_payload<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], TraceError> {
+    let len = r.get_usize()?;
+    let expect = u128::from_le_bytes(r.get_array()?);
+    let payload = r.get_raw(len)?;
+    if payload_checksum(payload) != expect {
+        return Err(TraceError::ChecksumMismatch);
+    }
+    Ok(payload)
 }
 
 /// Encodes a run's record stream into the `UVMT` wire format.
 pub fn encode_trace(meta: &TraceMeta, records: &[TraceRecord]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(records.len() * 4);
+    let mut payload = ByteWriter::with_capacity(records.len() * 4);
     let mut prev_cycle: i64 = 0;
     let mut prev_page: i64 = 0;
     for r in records {
-        payload.push(r.kind.tag());
-        write_ivarint(&mut payload, r.cycle as i64 - prev_cycle);
-        write_ivarint(&mut payload, r.page as i64 - prev_page);
+        payload.put_u8(r.kind.tag());
+        payload.put_i64((r.cycle as i64).wrapping_sub(prev_cycle));
+        payload.put_i64((r.page as i64).wrapping_sub(prev_page));
         prev_cycle = r.cycle as i64;
         prev_page = r.page as i64;
     }
+    let payload = payload.into_bytes();
 
-    let mut out = Vec::with_capacity(payload.len() + 64);
-    out.extend_from_slice(TRACE_MAGIC);
-    out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-    write_string(&mut out, &meta.workload);
-    write_string(&mut out, &meta.prefetch);
-    write_string(&mut out, &meta.evict);
-    out.extend_from_slice(&meta.seed.to_le_bytes());
-    write_uvarint(&mut out, records.len() as u64);
-    write_uvarint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let mut w = ByteWriter::with_capacity(payload.len() + 64);
+    put_preamble(&mut w, TRACE_MAGIC, TRACE_VERSION);
+    w.put_str(&meta.workload);
+    w.put_str(&meta.prefetch);
+    w.put_str(&meta.evict);
+    w.put_raw(&meta.seed.to_le_bytes());
+    w.put_usize(records.len());
+    put_payload(&mut w, &payload);
+    w.into_bytes()
 }
 
 /// Decodes a `UVMT` buffer, verifying magic, version, and checksum.
 pub fn decode_trace(bytes: &[u8]) -> Result<(TraceMeta, Vec<TraceRecord>), TraceError> {
-    let mut r = Reader::new(bytes);
-    if r.bytes(4)? != TRACE_MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    let version = r.u16_le()?;
-    if version != TRACE_VERSION {
-        return Err(TraceError::BadVersion(version));
-    }
+    let mut r = ByteReader::new(bytes);
+    check_preamble(&mut r, TRACE_MAGIC, TRACE_VERSION)?;
     let meta = TraceMeta {
-        workload: r.string()?,
-        prefetch: r.string()?,
-        evict: r.string()?,
-        seed: r.u64_le()?,
+        workload: r.get_str()?.to_owned(),
+        prefetch: r.get_str()?.to_owned(),
+        evict: r.get_str()?.to_owned(),
+        seed: u64::from_le_bytes(r.get_array()?),
     };
-    let count = r.uvarint()? as usize;
-    let paylen = r.uvarint()? as usize;
-    let expect = r.u128_le()?;
-    let payload = r.bytes(paylen)?;
-    if checksum(payload) != expect {
-        return Err(TraceError::ChecksumMismatch);
-    }
+    let count = r.get_usize()?;
+    let payload = get_payload(&mut r)?;
 
-    let mut rp = Reader::new(payload);
-    let mut records = Vec::with_capacity(count.min(1 << 20));
+    // A record takes at least three bytes: tag plus two varints.
+    let mut records = Vec::with_capacity(count.min(payload.len() / 3));
+    let mut rp = ByteReader::new(payload);
     let mut cycle: i64 = 0;
     let mut page: i64 = 0;
     for _ in 0..count {
-        let kind =
-            TraceKind::from_tag(rp.u8()?).ok_or_else(|| TraceError::BadTag(payload[rp.pos - 1]))?;
-        cycle += rp.ivarint()?;
-        page += rp.ivarint()?;
+        let tag = rp.get_u8()?;
+        let kind = TraceKind::from_tag(tag).ok_or(TraceError::BadTag(tag))?;
+        cycle = cycle.wrapping_add(rp.get_i64()?);
+        page = page.wrapping_add(rp.get_i64()?);
         records.push(TraceRecord {
             kind,
             cycle: cycle as u64,
@@ -370,57 +304,46 @@ impl LearnedTable {
 
     /// Serializes to the `UVML` wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, self.depth as u64);
-        write_uvarint(&mut payload, self.entries.len() as u64);
+        let mut payload = ByteWriter::new();
+        payload.put_usize(self.depth);
+        payload.put_usize(self.entries.len());
         for (context, nexts) in &self.entries {
             for &d in context {
-                write_ivarint(&mut payload, d);
+                payload.put_i64(d);
             }
-            write_uvarint(&mut payload, nexts.len() as u64);
+            payload.put_usize(nexts.len());
             for &d in nexts {
-                write_ivarint(&mut payload, d);
+                payload.put_i64(d);
             }
         }
-        let mut out = Vec::with_capacity(payload.len() + 32);
-        out.extend_from_slice(TABLE_MAGIC);
-        out.extend_from_slice(&TABLE_VERSION.to_le_bytes());
-        write_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        let payload = payload.into_bytes();
+        let mut w = ByteWriter::with_capacity(payload.len() + 32);
+        put_preamble(&mut w, TABLE_MAGIC, TABLE_VERSION);
+        put_payload(&mut w, &payload);
+        w.into_bytes()
     }
 
     /// Decodes a `UVML` buffer, verifying magic, version, and
     /// checksum.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = Reader::new(bytes);
-        if r.bytes(4)? != TABLE_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = r.u16_le()?;
-        if version != TABLE_VERSION {
-            return Err(TraceError::BadVersion(version));
-        }
-        let paylen = r.uvarint()? as usize;
-        let expect = r.u128_le()?;
-        let payload = r.bytes(paylen)?;
-        if checksum(payload) != expect {
-            return Err(TraceError::ChecksumMismatch);
-        }
-        let mut rp = Reader::new(payload);
-        let depth = rp.uvarint()? as usize;
-        let count = rp.uvarint()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
+        let mut r = ByteReader::new(bytes);
+        check_preamble(&mut r, TABLE_MAGIC, TABLE_VERSION)?;
+        let mut rp = ByteReader::new(get_payload(&mut r)?);
+        let depth = rp.get_usize()?;
+        let count = rp.get_usize()?;
+        // Every count read from the file is untrusted: each delta and
+        // each length takes at least one byte, so the bytes left bound
+        // every pre-allocation.
+        let mut entries = Vec::with_capacity(count.min(rp.remaining()));
         for _ in 0..count {
-            let mut context = Vec::with_capacity(depth);
+            let mut context = Vec::with_capacity(depth.min(rp.remaining()));
             for _ in 0..depth {
-                context.push(rp.ivarint()?);
+                context.push(rp.get_i64()?);
             }
-            let n = rp.uvarint()? as usize;
-            let mut nexts = Vec::with_capacity(n.min(64));
+            let n = rp.get_usize()?;
+            let mut nexts = Vec::with_capacity(n.min(rp.remaining()));
             for _ in 0..n {
-                nexts.push(rp.ivarint()?);
+                nexts.push(rp.get_i64()?);
             }
             entries.push((context, nexts));
         }
@@ -570,7 +493,10 @@ mod tests {
         ));
 
         let truncated = &good[..good.len() - 3];
-        assert_eq!(decode_trace(truncated).unwrap_err(), TraceError::Truncated);
+        assert!(matches!(
+            decode_trace(truncated).unwrap_err(),
+            TraceError::Codec(CodecError::UnexpectedEof { .. })
+        ));
 
         let mut flipped = good.clone();
         let last = flipped.len() - 1;
@@ -582,9 +508,33 @@ mod tests {
     }
 
     #[test]
+    fn extreme_deltas_round_trip_without_overflow() {
+        // Jumps wider than i64 wrap in both directions, so a crafted
+        // file cannot overflow the decoder's running sums.
+        let records: Vec<TraceRecord> = [i64::MAX as u64, 1 << 63, 0, u64::MAX]
+            .into_iter()
+            .map(|v| TraceRecord {
+                kind: TraceKind::Fault,
+                cycle: v,
+                page: v,
+            })
+            .collect();
+        let bytes = encode_trace(&TraceMeta::default(), &records);
+        assert_eq!(decode_trace(&bytes).unwrap().1, records);
+    }
+
+    #[test]
     fn zigzag_is_an_involution() {
+        // Record deltas are zig-zag varints: small magnitudes of
+        // either sign take one byte, and every i64 round-trips.
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 12345, -98765] {
-            assert_eq!(unzigzag(zigzag(v)), v);
+            let mut w = ByteWriter::new();
+            w.put_i64(v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len() == 1, (-64..64).contains(&v), "{v}");
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(r.get_i64().unwrap(), v);
+            r.finish().unwrap();
         }
     }
 
@@ -664,5 +614,45 @@ mod tests {
             LearnedTable::decode(&flipped).unwrap_err(),
             TraceError::ChecksumMismatch
         );
+    }
+
+    /// Wraps a hand-built payload in a valid `UVML` envelope, so the
+    /// decoder gets past the checksum to the counts inside.
+    fn table_file(payload: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_preamble(&mut w, TABLE_MAGIC, TABLE_VERSION);
+        put_payload(&mut w, payload);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn huge_table_depth_is_a_typed_error_not_a_panic() {
+        // depth = 2^62 with one entry: a capacity overflow if the
+        // context were pre-allocated from the file's count.
+        let mut payload = ByteWriter::new();
+        payload.put_u64(1 << 62);
+        payload.put_usize(1);
+        payload.put_i64(5);
+        let err = LearnedTable::decode(&table_file(&payload.into_bytes())).unwrap_err();
+        assert!(
+            matches!(err, TraceError::Codec(CodecError::UnexpectedEof { .. })),
+            "{err:?}"
+        );
+
+        // Huge entry and prediction counts are bounded the same way.
+        for (depth, count, n) in [(0u64, u64::MAX, 0u64), (1, 1, 1 << 60)] {
+            let mut payload = ByteWriter::new();
+            payload.put_u64(depth);
+            payload.put_u64(count);
+            if depth == 1 {
+                payload.put_i64(1);
+                payload.put_u64(n);
+            }
+            assert!(LearnedTable::decode(&table_file(&payload.into_bytes())).is_err());
+        }
+
+        // An empty table with a large depth is still valid.
+        let empty = LearnedTable::empty(1 << 40);
+        assert_eq!(LearnedTable::decode(&empty.encode()).unwrap(), empty);
     }
 }

@@ -79,6 +79,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 use uvm_core::{HugePageStats, PolicyRegistry};
+use uvm_types::codec::payload_checksum;
 use uvm_types::hash::StableHasher;
 use uvm_types::{Bytes, Duration};
 use uvm_workloads::Workload;
@@ -86,7 +87,7 @@ use uvm_workloads::Workload;
 use crate::error::{ExecutionReport, RunError};
 use crate::journal::Journal;
 use crate::run::{
-    simulate_prefix, try_resume_run, try_run_workload, RunOptions, RunResult, SweepPrefix,
+    simulate_prefix, try_resume_run, try_run_workload, RunOptions, RunResult, SimError, SweepPrefix,
 };
 
 /// Spill-format version; bump when [`RunResult`] fields change so
@@ -270,7 +271,9 @@ impl<'e, 'w> Plan<'e, 'w> {
     ///
     /// [`RunOptions::validate`]: crate::RunOptions::validate
     pub fn submit(&mut self, workload: &'w dyn Workload, opts: RunOptions) -> usize {
-        opts.assert_valid();
+        if let Err(e) = opts.validate() {
+            panic!("{}", SimError::Options(e));
+        }
         self.subs.push(Submission {
             key: RunKey::new(workload, &opts),
             workload,
@@ -539,22 +542,17 @@ impl Executor {
     /// One isolated attempt at a unit of simulation work: panics are
     /// caught at this boundary and, when a timeout is configured, the
     /// work runs on a watchdog thread so a hang cannot stall the pool.
-    ///
-    /// `inline` and `remote` must compute the same value; `remote` is
-    /// the `'static` variant the watchdog thread can own (workload
-    /// cloned, prefix behind an `Arc`). Only one of the two runs.
     fn isolated<T: Send + 'static>(
         &self,
-        inline: impl FnOnce() -> T,
-        remote: impl FnOnce() -> T + Send + 'static,
+        work: impl FnOnce() -> T + Send + 'static,
     ) -> Result<T, Failure> {
         let Some(limit) = self.run_timeout else {
-            return catch_unwind(AssertUnwindSafe(inline))
+            return catch_unwind(AssertUnwindSafe(work))
                 .map_err(|payload| Failure::Panic(panic_message(payload)));
         };
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(remote)).map_err(panic_message);
+            let outcome = catch_unwind(AssertUnwindSafe(work)).map_err(panic_message);
             let _ = tx.send(outcome);
         });
         match rx.recv_timeout(limit) {
@@ -567,74 +565,32 @@ impl Executor {
         }
     }
 
-    /// Runs `attempt` up to `1 + run_retries` times; returns the first
-    /// success or the last failure paired with the attempt count.
-    fn with_retries<T>(
-        &self,
-        mut attempt: impl FnMut(&Self) -> Result<T, Failure>,
-    ) -> Result<T, (Failure, u32)> {
+    /// Runs one unit of simulation work — a cold run, a group's
+    /// warm-up prefix, or a forked tail — [`isolated`](Self::isolated)
+    /// up to `1 + run_retries` times, and returns the first success or
+    /// the last failure paired with the attempt count. `work` makes a
+    /// fresh `'static` closure per attempt (workload cloned, prefix
+    /// behind an `Arc`) that the watchdog thread can own. Typed
+    /// simulation failures (I/O, checkpoint, audit) share the retry
+    /// budget with panics and timeouts — a transient disk hiccup gets
+    /// the same second chance.
+    fn attempt<T, W>(&self, work: impl Fn() -> W) -> Result<T, (Failure, u32)>
+    where
+        T: Send + 'static,
+        W: FnOnce() -> Result<T, SimError> + Send + 'static,
+    {
         let attempts = 1 + self.run_retries;
         let mut last = None;
         for n in 1..=attempts {
-            match attempt(self) {
+            match self
+                .isolated(work())
+                .and_then(|res| res.map_err(|e| Failure::Sim(e.to_string())))
+            {
                 Ok(value) => return Ok(value),
                 Err(failure) => last = Some((failure, n)),
             }
         }
         Err(last.expect("at least one attempt was made"))
-    }
-
-    /// Simulates `sub` cold (or warmed in place) with isolation and
-    /// the retry budget. Typed simulation failures (I/O, checkpoint,
-    /// audit) share the retry budget with panics and timeouts — a
-    /// transient disk hiccup gets the same second chance.
-    fn simulate(&self, sub: &Submission<'_>) -> Result<RunResult, RunError> {
-        self.with_retries(|exec| {
-            let workload = sub.workload.clone_box();
-            let opts = sub.opts.clone();
-            exec.isolated(
-                || try_run_workload(sub.workload, sub.opts.clone()),
-                move || try_run_workload(workload.as_ref(), opts),
-            )
-            .and_then(|res| res.map_err(|e| Failure::Sim(e.to_string())))
-        })
-        .map_err(|(failure, attempts)| failure.into_run_error(sub, attempts))
-    }
-
-    /// Simulates a group's shared warm-up prefix with isolation and
-    /// the retry budget. Failures are reported per group member by the
-    /// caller, so this returns the raw [`Failure`].
-    fn simulate_group_prefix(
-        &self,
-        sub: &Submission<'_>,
-    ) -> Result<Arc<SweepPrefix>, (Failure, u32)> {
-        self.with_retries(|exec| {
-            let workload = sub.workload.clone_box();
-            let opts = sub.opts.clone();
-            exec.isolated(
-                || Arc::new(simulate_prefix(sub.workload, &sub.opts)),
-                move || Arc::new(simulate_prefix(workload.as_ref(), &opts)),
-            )
-        })
-    }
-
-    /// Forks `prefix` and simulates `sub`'s tail with isolation and
-    /// the retry budget.
-    fn simulate_tail(
-        &self,
-        prefix: &Arc<SweepPrefix>,
-        sub: &Submission<'_>,
-    ) -> Result<RunResult, RunError> {
-        self.with_retries(|exec| {
-            let prefix_remote = Arc::clone(prefix);
-            let opts = sub.opts.clone();
-            exec.isolated(
-                || try_resume_run(prefix, &sub.opts),
-                move || try_resume_run(&prefix_remote, &opts),
-            )
-            .and_then(|res| res.map_err(|e| Failure::Sim(e.to_string())))
-        })
-        .map_err(|(failure, attempts)| failure.into_run_error(sub, attempts))
     }
 
     /// Runs `f(0..len)` across the worker pool and collects the
@@ -830,15 +786,27 @@ impl Executor {
 
         let phase_a = self.parallel_map(jobs.len(), |j| match jobs[j] {
             Job::Cold(i) => {
-                let outcome = self.simulate(todo[i]);
+                let sub = todo[i];
+                let outcome = self
+                    .attempt(|| {
+                        let workload = sub.workload.clone_box();
+                        let opts = sub.opts.clone();
+                        move || try_run_workload(workload.as_ref(), opts)
+                    })
+                    .map_err(|(failure, attempts)| failure.into_run_error(sub, attempts));
                 if let Ok(result) = &outcome {
                     self.executed.fetch_add(1, Ordering::Relaxed);
-                    self.publish(todo[i], result);
+                    self.publish(sub, result);
                 }
                 Done::Run(i, Box::new(outcome))
             }
             Job::Prefix(g) => {
-                let outcome = self.simulate_group_prefix(todo[groups[g][0]]);
+                let sub = todo[groups[g][0]];
+                let outcome = self.attempt(|| {
+                    let workload = sub.workload.clone_box();
+                    let opts = sub.opts.clone();
+                    move || simulate_prefix(workload.as_ref(), &opts).map(Arc::new)
+                });
                 if outcome.is_ok() {
                     self.prefixes.fetch_add(1, Ordering::Relaxed);
                 }
@@ -865,10 +833,17 @@ impl Executor {
 
         let phase_b = self.parallel_map(tails.len(), |j| {
             let (i, ref prefix) = tails[j];
-            let outcome = self.simulate_tail(prefix, todo[i]);
+            let sub = todo[i];
+            let outcome = self
+                .attempt(|| {
+                    let prefix = Arc::clone(prefix);
+                    let opts = sub.opts.clone();
+                    move || try_resume_run(&prefix, &opts)
+                })
+                .map_err(|(failure, attempts)| failure.into_run_error(sub, attempts));
             if let Ok(result) = &outcome {
                 self.executed.fetch_add(1, Ordering::Relaxed);
-                self.publish(todo[i], result);
+                self.publish(sub, result);
             }
             (i, outcome)
         });
@@ -994,9 +969,8 @@ mod spill {
     /// Encodes a full spill entry: checksum header plus JSON body.
     pub(super) fn encode_entry(r: &RunResult) -> String {
         let body = encode(r);
-        let mut h = StableHasher::new();
-        h.write_bytes(body.as_bytes());
-        format!("uvmspill v{SPILL_VERSION} crc={:032x}\n{body}", h.finish())
+        let crc = payload_checksum(body.as_bytes());
+        format!("uvmspill v{SPILL_VERSION} crc={crc:032x}\n{body}")
     }
 
     /// Validates the header and checksum, then decodes the body.
@@ -1008,9 +982,7 @@ mod spill {
             return None;
         }
         let crc = u128::from_str_radix(crc_hex, 16).ok()?;
-        let mut h = StableHasher::new();
-        h.write_bytes(body.as_bytes());
-        if h.finish() != crc {
+        if payload_checksum(body.as_bytes()) != crc {
             return None;
         }
         decode(body)

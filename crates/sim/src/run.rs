@@ -1,8 +1,9 @@
 //! Single-run driver: one workload under one configuration, plus the
 //! shared warm-up prefix machinery behind sweep forking.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use uvm_core::trace::{encode_trace, TraceKind, TraceMeta, TraceRecord};
 use uvm_core::{
@@ -10,7 +11,7 @@ use uvm_core::{
     HugePageStats, PolicyRegistry, PolicySpec, PrefetchPolicy, UvmConfig,
 };
 use uvm_gpu::{Engine, EngineSnapshot, GpuConfig, KernelSpec, TraceEvent};
-use uvm_types::codec::{ByteReader, ByteWriter};
+use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
 use uvm_types::{Bytes, Cycle, Duration, PageId};
 use uvm_workloads::Workload;
 
@@ -267,9 +268,10 @@ impl RunOptions {
 
     /// Checks every option for validity in one place: numeric ranges
     /// that were previously scattered asserts, plus policy-spec
-    /// resolution through the global registry. Called by
-    /// [`run_workload`]/[`simulate_prefix`] and `Plan::submit`, so bad
-    /// options fail loudly at submission instead of deep in the
+    /// resolution through the global registry. Called before any
+    /// simulation starts — by the run entry points, which report
+    /// [`SimError::Options`], and by `Plan::submit`, which panics — so
+    /// bad options fail loudly at submission instead of deep in the
     /// engine.
     pub fn validate(&self) -> Result<(), OptionsError> {
         if let Some(frac) = self.memory_frac {
@@ -301,14 +303,6 @@ impl RunOptions {
             .canonical_evict_spec(&self.evict)
             .map_err(|e| OptionsError::BadPolicy(e.to_string()))?;
         Ok(())
-    }
-
-    /// [`validate`](Self::validate), panicking with the error's
-    /// message — the shared entry-point check.
-    pub(crate) fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid run options: {e}");
-        }
     }
 }
 
@@ -355,13 +349,17 @@ impl std::error::Error for OptionsError {}
 
 /// Why a simulation run could not complete or deliver its artifacts.
 ///
-/// Returned by [`try_run_workload`]/[`try_resume_run`]; the historical
+/// Returned by [`try_run_workload`], [`simulate_prefix`] and
+/// [`try_resume_run`]; the historical
 /// [`run_workload`]/[`resume_run`] entry points panic with the same
 /// message. The executor catches these as typed
 /// [`RunError`](crate::RunError)s so one full disk or unreadable
 /// checkpoint does not take a whole sweep down.
 #[derive(Debug)]
 pub enum SimError {
+    /// The options failed [`RunOptions::validate`]; nothing was
+    /// simulated.
+    Options(OptionsError),
     /// A filesystem side-effect failed (trace export, directory
     /// creation): disk full, permissions, path shadowed by a file.
     Io {
@@ -390,6 +388,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimError::Options(e) => write!(f, "invalid run options: {e}"),
             SimError::Io { op, path, source } => {
                 write!(f, "{op} {}: {source}", path.display())
             }
@@ -404,10 +403,17 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            SimError::Options(e) => Some(e),
             SimError::Io { source, .. } => Some(source),
             SimError::Checkpoint(e) => Some(e),
             SimError::Audit { error, .. } => Some(error),
         }
+    }
+}
+
+impl From<OptionsError> for SimError {
+    fn from(e: OptionsError) -> Self {
+        SimError::Options(e)
     }
 }
 
@@ -417,8 +423,8 @@ impl From<CheckpointError> for SimError {
     }
 }
 
-impl From<uvm_types::codec::CodecError> for SimError {
-    fn from(e: uvm_types::codec::CodecError) -> Self {
+impl From<CodecError> for SimError {
+    fn from(e: CodecError) -> Self {
         SimError::Checkpoint(CheckpointError::Codec(e))
     }
 }
@@ -429,29 +435,36 @@ fn audit_enabled(opts: &RunOptions) -> bool {
     opts.audit || std::env::var("UVM_AUDIT").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// The checkpoint spec in force for a run: the explicit
+/// The checkpoint in force for a run: the explicit
 /// [`RunOptions::with_checkpoint`] spec, else the process-wide
 /// `UVM_CHECKPOINT_DIR` / `UVM_CHECKPOINT_EVERY` environment override
 /// (set by the bench binaries' `--checkpoint-dir`/`--checkpoint-every`
 /// flags), else off. The environment route keeps every experiment
 /// runner durable without threading options through each sweep — safe
-/// because checkpointing never changes results or run identity.
-fn effective_checkpoint(opts: &RunOptions) -> Option<CheckpointSpec> {
-    if let Some(spec) = &opts.checkpoint {
-        return Some(spec.clone());
-    }
-    let dir = std::env::var_os("UVM_CHECKPOINT_DIR")?;
-    if dir.is_empty() {
-        return None;
-    }
-    let every_n_kernels = std::env::var("UVM_CHECKPOINT_EVERY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1);
-    Some(CheckpointSpec {
-        dir: PathBuf::from(dir),
-        every_n_kernels,
+/// because checkpointing never changes results or run identity. The
+/// file is named after the run's [`RunKey`], which excludes the
+/// checkpoint settings themselves.
+fn effective_checkpoint<'w>(
+    workload: &'w dyn Workload,
+    opts: &RunOptions,
+) -> Option<Checkpoint<'w>> {
+    let (dir, every) = match &opts.checkpoint {
+        Some(spec) => (spec.dir.clone(), spec.every_n_kernels),
+        None => {
+            let dir = std::env::var_os("UVM_CHECKPOINT_DIR").filter(|d| !d.is_empty())?;
+            let every = std::env::var("UVM_CHECKPOINT_EVERY")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or(1);
+            (PathBuf::from(dir), every)
+        }
+    };
+    let path = dir.join(format!("{}.uvmc", RunKey::new(workload, opts).to_hex()));
+    Some(Checkpoint {
+        workload,
+        path,
+        every,
     })
 }
 
@@ -554,90 +567,396 @@ pub fn measure_footprint(workload: &dyn Workload) -> Bytes {
     gmmu.allocations().total_requested()
 }
 
-/// Derives the device budget from the footprint and `memory_frac`
-/// (range-checked upstream by [`RunOptions::validate`]).
-fn derive_capacity(footprint: Bytes, memory_frac: Option<f64>) -> Option<Bytes> {
-    memory_frac.map(|frac| Bytes::new((footprint.bytes() as f64 / frac).ceil() as u64))
+/// A cold run's checkpoint file and interval, resolved once by
+/// [`effective_checkpoint`].
+struct Checkpoint<'w> {
+    workload: &'w dyn Workload,
+    path: PathBuf,
+    every: usize,
 }
 
-/// Builds the driver configuration for `opts` with the given *initial*
-/// policies (the warm-up pair when a warm-up is in force).
-fn build_config(
-    opts: &RunOptions,
+/// One run's launch lineage: the engine, the launches still to run,
+/// and everything the run has accumulated so far.
+///
+/// Cold runs, warm-up prefixes and forked tails all advance through
+/// [`Lineage::run_to`], so launching, auditing and checkpointing exist
+/// once (DESIGN.md §8). `E` is the live [`Engine`] while the lineage
+/// runs, and the frozen [`EngineSnapshot`] inside a [`SweepPrefix`].
+#[derive(Clone, Debug)]
+struct Lineage<'k, E> {
+    engine: E,
+    /// Every launch of the run, in order; the first
+    /// `kernel_times.len()` have run. A cold run owns the list and
+    /// moves each launch out as it runs it; a forked tail borrows its
+    /// prefix's list and clones each launch it runs.
+    kernels: Cow<'k, [KernelSpec]>,
+    kernel_times: Vec<Duration>,
+    traces: Vec<Vec<TraceEvent>>,
+    /// Export records so far (`None` when the run exports nothing).
+    export: Option<Vec<TraceRecord>>,
+    name: String,
+    footprint: Bytes,
     capacity: Option<Bytes>,
-    prefetch: PolicySpec,
-    evict: PolicySpec,
-) -> UvmConfig {
-    let mut cfg = UvmConfig::default()
-        .with_prefetch(prefetch)
-        .with_evict(evict)
-        .with_disable_prefetch_on_oversubscription(opts.disable_prefetch_on_oversubscription)
-        .with_rng_seed(opts.rng_seed)
-        .with_fault_plan(opts.fault_plan);
-    if let Some(capacity) = capacity {
-        cfg = cfg.with_capacity(capacity);
-    }
-    if opts.free_buffer_frac > 0.0 {
-        cfg = cfg.with_free_buffer_frac(opts.free_buffer_frac);
-    }
-    if opts.reserve_frac > 0.0 {
-        cfg = cfg.with_reserve_frac(opts.reserve_frac);
-    }
-    if let Some(lanes) = opts.fault_lanes {
-        cfg = cfg.with_fault_lanes(lanes);
-    }
-    if opts.writeback_dirty_only {
-        cfg = cfg.with_writeback_dirty_only(true);
-    }
-    cfg
 }
 
-/// Builds the engine and compiled launch list for a run, with the
-/// given initial policy pair installed.
-fn build_engine(
-    workload: &dyn Workload,
-    opts: &RunOptions,
-    capacity: Option<Bytes>,
-    prefetch: PolicySpec,
-    evict: PolicySpec,
-) -> (Engine, Vec<KernelSpec>) {
-    let mut gmmu = Gmmu::new(build_config(opts, capacity, prefetch, evict));
-    if opts.trace_export.is_some() {
-        gmmu.enable_fault_trace();
+impl Lineage<'static, Engine> {
+    /// Builds the engine and launch list for `workload` under `opts`,
+    /// with the warm-up pair installed when a warm-up is in force.
+    fn build(workload: &dyn Workload, opts: &RunOptions) -> Self {
+        let footprint = measure_footprint(workload);
+        // `memory_frac` is range-checked by `RunOptions::validate`.
+        let capacity = opts
+            .memory_frac
+            .map(|frac| Bytes::new((footprint.bytes() as f64 / frac).ceil() as u64));
+        let (prefetch, evict) = match opts.warmup {
+            Some(w) => (w.prefetch.into(), w.evict.into()),
+            None => (opts.prefetch.clone(), opts.evict.clone()),
+        };
+        let mut cfg = UvmConfig::default()
+            .with_prefetch(prefetch)
+            .with_evict(evict)
+            .with_disable_prefetch_on_oversubscription(opts.disable_prefetch_on_oversubscription)
+            .with_rng_seed(opts.rng_seed)
+            .with_fault_plan(opts.fault_plan);
+        if let Some(capacity) = capacity {
+            cfg = cfg.with_capacity(capacity);
+        }
+        if opts.free_buffer_frac > 0.0 {
+            cfg = cfg.with_free_buffer_frac(opts.free_buffer_frac);
+        }
+        if opts.reserve_frac > 0.0 {
+            cfg = cfg.with_reserve_frac(opts.reserve_frac);
+        }
+        if let Some(lanes) = opts.fault_lanes {
+            cfg = cfg.with_fault_lanes(lanes);
+        }
+        if opts.writeback_dirty_only {
+            cfg = cfg.with_writeback_dirty_only(true);
+        }
+        let mut gmmu = Gmmu::new(cfg);
+        if opts.trace_export.is_some() {
+            gmmu.enable_fault_trace();
+        }
+        let kernels = {
+            let mut malloc = |size: Bytes| gmmu.malloc_managed(size);
+            workload.build(&mut malloc)
+        };
+        let mut engine = Engine::new(gmmu, opts.gpu.clone());
+        if opts.trace || opts.trace_export.is_some() {
+            engine.enable_trace();
+        }
+        Lineage {
+            engine,
+            kernel_times: Vec::with_capacity(kernels.len()),
+            kernels: Cow::Owned(kernels),
+            traces: Vec::new(),
+            export: opts.trace_export.as_ref().map(|_| Vec::new()),
+            name: workload.name().to_owned(),
+            footprint,
+            capacity,
+        }
     }
-    let kernels = {
-        let mut malloc = |size: Bytes| gmmu.malloc_managed(size);
-        workload.build(&mut malloc)
-    };
-    let mut engine = Engine::new(gmmu, opts.gpu.clone());
-    if opts.trace || opts.trace_export.is_some() {
-        engine.enable_trace();
+
+    /// Freezes the lineage between launches into a forkable prefix.
+    fn freeze(self) -> Lineage<'static, EngineSnapshot> {
+        Lineage {
+            engine: self.engine.snapshot(),
+            kernels: self.kernels,
+            kernel_times: self.kernel_times,
+            traces: self.traces,
+            export: self.export,
+            name: self.name,
+            footprint: self.footprint,
+            capacity: self.capacity,
+        }
     }
-    (engine, kernels)
 }
 
-/// Runs one launch, recording its time, its trace (if enabled), and
-/// its export records (if an export stream is being collected).
-fn run_launch(
-    engine: &mut Engine,
-    kernel: KernelSpec,
-    trace: bool,
-    export: Option<&mut Vec<TraceRecord>>,
-    kernel_times: &mut Vec<Duration>,
-    traces: &mut Vec<Vec<TraceEvent>>,
-) {
-    let time = engine.run_kernel(kernel);
-    kernel_times.push(time);
-    if !trace && export.is_none() {
-        return;
+impl Lineage<'static, EngineSnapshot> {
+    /// A fresh engine forked from the frozen one, continuing this
+    /// lineage's launches under `opts`' export setting.
+    fn fork(&self, opts: &RunOptions) -> Lineage<'_, Engine> {
+        let mut engine = self.engine.fork();
+        let export = opts.trace_export.as_ref().map(|_| {
+            // A prefix built without export captured nothing for the
+            // warm launches; turn capture on for the tail either way.
+            engine.enable_trace();
+            engine.gmmu_mut().enable_fault_trace();
+            self.export.clone().unwrap_or_default()
+        });
+        Lineage {
+            engine,
+            kernels: Cow::Borrowed(&self.kernels),
+            kernel_times: self.kernel_times.clone(),
+            traces: self.traces.clone(),
+            export,
+            name: self.name.clone(),
+            footprint: self.footprint,
+            capacity: self.capacity,
+        }
     }
-    let events = engine.take_trace();
-    if let Some(records) = export {
-        let faults = engine.gmmu_mut().take_fault_trace();
-        append_export_records(records, &events, &faults, engine.now().index());
+}
+
+impl Lineage<'_, Engine> {
+    /// Launches in the whole run.
+    fn total(&self) -> usize {
+        self.kernels.len()
     }
-    if trace {
-        traces.push(events);
+
+    /// Index of the next launch to run.
+    fn next(&self) -> usize {
+        self.kernel_times.len()
+    }
+
+    /// Installs the run's own `prefetch`/`evict` pair (the warm-up
+    /// swap).
+    fn swap_policies(&mut self, opts: &RunOptions) {
+        self.engine
+            .gmmu_mut()
+            .swap_policies(opts.prefetch.clone(), opts.evict.clone());
+    }
+
+    /// Runs the launches from [`next`](Self::next) up to (not
+    /// including) `end`. With auditing enabled the invariant auditor
+    /// runs after each launch, and a violation stops the run as a
+    /// typed [`SimError::Audit`]. With `ckpt`, a checkpoint is written
+    /// every `ckpt.every` completed launches, except after the last.
+    fn run_to(
+        &mut self,
+        end: usize,
+        opts: &RunOptions,
+        ckpt: Option<&Checkpoint<'_>>,
+    ) -> Result<(), SimError> {
+        let audit = audit_enabled(opts);
+        while self.next() < end {
+            let i = self.next();
+            let kernel = match &mut self.kernels {
+                Cow::Owned(kernels) => std::mem::replace(&mut kernels[i], KernelSpec::new("")),
+                Cow::Borrowed(kernels) => kernels[i].clone(),
+            };
+            self.run_launch(kernel, opts.trace);
+            if audit {
+                self.audit(i)?;
+            }
+            if let Some(ckpt) = ckpt {
+                if (i + 1).is_multiple_of(ckpt.every) && i + 1 < self.total() {
+                    write_checkpoint(&ckpt.path, &self.encode_state(ckpt.workload))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the invariant auditor; `kernel` names the launch it
+    /// follows.
+    fn audit(&self, kernel: usize) -> Result<(), SimError> {
+        self.engine
+            .audit()
+            .map_err(|error| SimError::Audit { kernel, error })
+    }
+
+    /// Runs one launch, recording its time, its trace (if enabled),
+    /// and its export records (if an export stream is being
+    /// collected).
+    fn run_launch(&mut self, kernel: KernelSpec, trace: bool) {
+        let time = self.engine.run_kernel(kernel);
+        self.kernel_times.push(time);
+        if !trace && self.export.is_none() {
+            return;
+        }
+        let events = self.engine.take_trace();
+        if let Some(records) = &mut self.export {
+            let faults = self.engine.gmmu_mut().take_fault_trace();
+            append_export_records(records, &events, &faults, self.engine.now().index());
+        }
+        if trace {
+            self.traces.push(events);
+        }
+    }
+
+    /// Writes the export (if any) and assembles the [`RunResult`].
+    fn finish(self, opts: &RunOptions) -> Result<RunResult, SimError> {
+        if let Some(records) = &self.export {
+            write_export(opts, &self.name, records)?;
+        }
+        let gmmu = self.engine.gmmu();
+        let stats = gmmu.stats();
+        let read = gmmu.read_stats();
+        let write = gmmu.write_stats();
+        Ok(RunResult {
+            total_time: self
+                .kernel_times
+                .iter()
+                .fold(Duration::ZERO, |acc, &t| acc + t),
+            name: self.name,
+            kernel_times: self.kernel_times,
+            footprint: self.footprint,
+            capacity: self.capacity,
+            accesses: stats.accesses,
+            far_faults: stats.far_faults,
+            pages_migrated: stats.pages_migrated,
+            pages_prefetched: stats.pages_prefetched,
+            pages_evicted: stats.pages_evicted,
+            pages_thrashed: stats.pages_thrashed,
+            prefetched_used: stats.prefetched_used,
+            prefetched_wasted: stats.prefetched_wasted,
+            clean_pages_written_back: stats.clean_pages_written_back,
+            read_bandwidth_gbps: read.average_bandwidth_gbps(),
+            write_bandwidth_gbps: write.average_bandwidth_gbps(),
+            read_transfers_4k: read.histogram.count_4kib(),
+            read_transfers: read.transfers(),
+            read_bytes: read.bytes,
+            write_bytes: write.bytes,
+            transfer_retries: stats.fault_injection.transfer_retries,
+            transfer_giveups: stats.fault_injection.transfer_giveups,
+            migration_retries: stats.fault_injection.migration_retries,
+            migration_giveups: stats.fault_injection.migration_giveups,
+            emergency_evictions: stats.fault_injection.emergency_evictions,
+            fault_jitter_cycles: stats.fault_injection.jitter_cycles,
+            huge_pages: stats.huge_pages.clone(),
+            traces: self.traces,
+        })
+    }
+
+    /// Serializes everything a mid-run kernel boundary needs to
+    /// resume: run identity, cursor, accumulated measurements, pending
+    /// export records, and the full engine image as an opaque
+    /// sub-buffer.
+    fn encode_state(&self, workload: &dyn Workload) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_str(workload.name());
+        w.put_str(&workload.signature());
+        w.put_usize(self.total());
+        w.put_usize(self.next());
+        w.put_usize(self.kernel_times.len());
+        for t in &self.kernel_times {
+            w.put_u64(t.cycles());
+        }
+        w.put_usize(self.traces.len());
+        for trace in &self.traces {
+            w.put_usize(trace.len());
+            for e in trace {
+                w.put_u64(e.cycle.index());
+                w.put_u64(e.page.index());
+                w.put_usize(e.warp);
+                w.put_bool(e.write);
+            }
+        }
+        match &self.export {
+            None => w.put_bool(false),
+            Some(records) => {
+                w.put_bool(true);
+                w.put_usize(records.len());
+                for r in records {
+                    w.put_u8(r.kind.tag());
+                    w.put_u64(r.cycle);
+                    w.put_u64(r.page);
+                }
+            }
+        }
+        let mut ew = ByteWriter::new();
+        self.engine.save_state(&mut ew);
+        w.put_bytes(&ew.into_bytes());
+        w.into_bytes()
+    }
+
+    /// Resumes from the checkpoint at `ckpt.path` when there is one,
+    /// restoring the engine and the run's accumulators, and audits the
+    /// restored state when auditing is enabled.
+    ///
+    /// A missing checkpoint, or a corrupt one (already quarantined as
+    /// `.corrupt` by the container reader), leaves a cold start.
+    /// Version skew, I/O failures, and checkpoints belonging to a
+    /// different run are hard errors: silently cold-starting over them
+    /// would hide real damage.
+    fn resume_from(&mut self, ckpt: &Checkpoint<'_>, opts: &RunOptions) -> Result<(), SimError> {
+        let payload = match read_checkpoint(&ckpt.path) {
+            Ok(p) => p,
+            Err(CheckpointError::Io { source, .. })
+                if source.kind() == std::io::ErrorKind::NotFound =>
+            {
+                return Ok(())
+            }
+            Err(e) if e.is_corruption() => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
+        let workload = ckpt.workload;
+        let total = self.total();
+        let mut r = ByteReader::new(&payload);
+        let name = r.get_str()?.to_owned();
+        let signature = r.get_str()?.to_owned();
+        if name != workload.name() || signature != workload.signature() {
+            return Err(CheckpointError::Incompatible(format!(
+                "checkpoint is for workload '{name}' ({signature}), \
+                 not '{}' ({})",
+                workload.name(),
+                workload.signature()
+            ))
+            .into());
+        }
+        let stored_total = r.get_usize()?;
+        if stored_total != total {
+            return Err(CheckpointError::Incompatible(format!(
+                "checkpoint covers a {stored_total}-launch run, this run has {total} launches"
+            ))
+            .into());
+        }
+        let next = r.get_usize()?;
+        let times = r.get_usize()?;
+        if next > total || times != next {
+            return Err(CheckpointError::Incompatible(format!(
+                "checkpoint cursor at kernel {next} with {times} recorded times"
+            ))
+            .into());
+        }
+        for _ in 0..times {
+            self.kernel_times.push(Duration::from_cycles(r.get_u64()?));
+        }
+        let trace_count = r.get_usize()?;
+        for _ in 0..trace_count {
+            let events = r.get_usize()?;
+            let mut trace = Vec::with_capacity(events.min(1 << 20));
+            for _ in 0..events {
+                trace.push(TraceEvent {
+                    cycle: Cycle::new(r.get_u64()?),
+                    page: PageId::new(r.get_u64()?),
+                    warp: r.get_usize()?,
+                    write: r.get_bool()?,
+                });
+            }
+            self.traces.push(trace);
+        }
+        let had_export = r.get_bool()?;
+        if had_export != self.export.is_some() {
+            return Err(CheckpointError::Incompatible(
+                "checkpoint and run disagree about trace export".into(),
+            )
+            .into());
+        }
+        if let Some(records) = &mut self.export {
+            let n = r.get_usize()?;
+            for _ in 0..n {
+                let tag = r.get_u8()?;
+                let kind = TraceKind::from_tag(tag).ok_or(CodecError::BadTag {
+                    what: "export record kind",
+                    value: u64::from(tag),
+                })?;
+                records.push(TraceRecord {
+                    kind,
+                    cycle: r.get_u64()?,
+                    page: r.get_u64()?,
+                });
+            }
+        }
+        let image = r.get_bytes()?;
+        let mut er = ByteReader::new(image);
+        self.engine.load_state(&mut er)?;
+        er.finish()?;
+        r.finish()?;
+        if audit_enabled(opts) {
+            self.audit(next.saturating_sub(1))?;
+        }
+        Ok(())
     }
 }
 
@@ -647,39 +966,31 @@ fn run_launch(
 fn append_export_records(
     records: &mut Vec<TraceRecord>,
     events: &[TraceEvent],
-    faults: &[(uvm_types::Cycle, uvm_types::PageId)],
+    faults: &[(Cycle, PageId)],
     end_cycle: u64,
 ) {
     records.reserve(events.len() + faults.len() + 1);
-    let mut ev = events.iter().peekable();
-    let mut fa = faults.iter().peekable();
-    loop {
-        let take_fault = match (fa.peek(), ev.peek()) {
-            (Some(f), Some(e)) => f.0 <= e.cycle,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if take_fault {
-            let &(cycle, page) = fa.next().expect("peeked");
-            records.push(TraceRecord {
-                kind: TraceKind::Fault,
-                cycle: cycle.index(),
-                page: page.index(),
-            });
-        } else {
-            let e = ev.next().expect("peeked");
-            records.push(TraceRecord {
-                kind: if e.write {
-                    TraceKind::AccessWrite
-                } else {
-                    TraceKind::AccessRead
-                },
-                cycle: e.cycle.index(),
-                page: e.page.index(),
-            });
+    let fault = |&(cycle, page): &(Cycle, PageId)| TraceRecord {
+        kind: TraceKind::Fault,
+        cycle: cycle.index(),
+        page: page.index(),
+    };
+    let mut faults = faults.iter().peekable();
+    for e in events {
+        while let Some(f) = faults.next_if(|f| f.0 <= e.cycle) {
+            records.push(fault(f));
         }
+        records.push(TraceRecord {
+            kind: if e.write {
+                TraceKind::AccessWrite
+            } else {
+                TraceKind::AccessRead
+            },
+            cycle: e.cycle.index(),
+            page: e.page.index(),
+        });
     }
+    records.extend(faults.map(fault));
     records.push(TraceRecord {
         kind: TraceKind::KernelEnd,
         cycle: end_cycle,
@@ -715,210 +1026,6 @@ fn write_export(opts: &RunOptions, name: &str, records: &[TraceRecord]) -> Resul
     })
 }
 
-/// Assembles the [`RunResult`] from a finished engine.
-fn collect_result(
-    engine: &Engine,
-    name: &str,
-    footprint: Bytes,
-    capacity: Option<Bytes>,
-    kernel_times: Vec<Duration>,
-    traces: Vec<Vec<TraceEvent>>,
-) -> RunResult {
-    let gmmu = engine.gmmu();
-    let stats = gmmu.stats();
-    let read = gmmu.read_stats();
-    let write = gmmu.write_stats();
-    RunResult {
-        name: name.to_owned(),
-        total_time: kernel_times.iter().fold(Duration::ZERO, |acc, &t| acc + t),
-        kernel_times,
-        footprint,
-        capacity,
-        accesses: stats.accesses,
-        far_faults: stats.far_faults,
-        pages_migrated: stats.pages_migrated,
-        pages_prefetched: stats.pages_prefetched,
-        pages_evicted: stats.pages_evicted,
-        pages_thrashed: stats.pages_thrashed,
-        prefetched_used: stats.prefetched_used,
-        prefetched_wasted: stats.prefetched_wasted,
-        clean_pages_written_back: stats.clean_pages_written_back,
-        read_bandwidth_gbps: read.average_bandwidth_gbps(),
-        write_bandwidth_gbps: write.average_bandwidth_gbps(),
-        read_transfers_4k: read.histogram.count_4kib(),
-        read_transfers: read.transfers(),
-        read_bytes: read.bytes,
-        write_bytes: write.bytes,
-        transfer_retries: stats.fault_injection.transfer_retries,
-        transfer_giveups: stats.fault_injection.transfer_giveups,
-        migration_retries: stats.fault_injection.migration_retries,
-        migration_giveups: stats.fault_injection.migration_giveups,
-        emergency_evictions: stats.fault_injection.emergency_evictions,
-        fault_jitter_cycles: stats.fault_injection.jitter_cycles,
-        huge_pages: stats.huge_pages.clone(),
-        traces,
-    }
-}
-
-/// The on-disk location of a run's checkpoint: its [`RunKey`] (which
-/// excludes the checkpoint settings themselves) under the spec's dir.
-fn checkpoint_path(spec: &CheckpointSpec, workload: &dyn Workload, opts: &RunOptions) -> PathBuf {
-    spec.dir
-        .join(format!("{}.uvmc", RunKey::new(workload, opts).to_hex()))
-}
-
-/// Serializes everything a mid-run kernel boundary needs to resume:
-/// run identity, cursor, accumulated measurements, pending export
-/// records, and the full engine image as an opaque sub-buffer.
-fn encode_run_state(
-    workload: &dyn Workload,
-    total: usize,
-    next_kernel: usize,
-    kernel_times: &[Duration],
-    traces: &[Vec<TraceEvent>],
-    export: Option<&Vec<TraceRecord>>,
-    engine: &Engine,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_str(workload.name());
-    w.put_str(&workload.signature());
-    w.put_usize(total);
-    w.put_usize(next_kernel);
-    w.put_usize(kernel_times.len());
-    for t in kernel_times {
-        w.put_u64(t.cycles());
-    }
-    w.put_usize(traces.len());
-    for trace in traces {
-        w.put_usize(trace.len());
-        for e in trace {
-            w.put_u64(e.cycle.index());
-            w.put_u64(e.page.index());
-            w.put_usize(e.warp);
-            w.put_bool(e.write);
-        }
-    }
-    match export {
-        None => w.put_bool(false),
-        Some(records) => {
-            w.put_bool(true);
-            w.put_usize(records.len());
-            for r in records {
-                w.put_u8(r.kind.tag());
-                w.put_u64(r.cycle);
-                w.put_u64(r.page);
-            }
-        }
-    }
-    let mut ew = ByteWriter::new();
-    engine.save_state(&mut ew);
-    w.put_bytes(&ew.into_bytes());
-    w.into_bytes()
-}
-
-/// Tries to resume from the checkpoint at `path`, restoring into the
-/// freshly built `engine` and the run's accumulators.
-///
-/// Returns `Ok(None)` for a cold start — no checkpoint on disk, or a
-/// corrupt one (already quarantined as `.corrupt` by the container
-/// reader). Version skew, I/O failures, and checkpoints belonging to
-/// a different run are hard errors: silently cold-starting over them
-/// would hide real damage.
-fn load_run_state(
-    path: &Path,
-    workload: &dyn Workload,
-    total: usize,
-    engine: &mut Engine,
-    kernel_times: &mut Vec<Duration>,
-    traces: &mut Vec<Vec<TraceEvent>>,
-    export: Option<&mut Vec<TraceRecord>>,
-) -> Result<Option<usize>, SimError> {
-    let payload = match read_checkpoint(path) {
-        Ok(p) => p,
-        Err(CheckpointError::Io { source, .. })
-            if source.kind() == std::io::ErrorKind::NotFound =>
-        {
-            return Ok(None)
-        }
-        Err(e) if e.is_corruption() => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut r = ByteReader::new(&payload);
-    let name = r.get_str()?.to_owned();
-    let signature = r.get_str()?.to_owned();
-    if name != workload.name() || signature != workload.signature() {
-        return Err(CheckpointError::Incompatible(format!(
-            "checkpoint is for workload '{name}' ({signature}), \
-             not '{}' ({})",
-            workload.name(),
-            workload.signature()
-        ))
-        .into());
-    }
-    let stored_total = r.get_usize()?;
-    if stored_total != total {
-        return Err(CheckpointError::Incompatible(format!(
-            "checkpoint covers a {stored_total}-launch run, this run has {total} launches"
-        ))
-        .into());
-    }
-    let next = r.get_usize()?;
-    let times = r.get_usize()?;
-    if next > total || times != next {
-        return Err(CheckpointError::Incompatible(format!(
-            "checkpoint cursor at kernel {next} with {times} recorded times"
-        ))
-        .into());
-    }
-    for _ in 0..times {
-        kernel_times.push(Duration::from_cycles(r.get_u64()?));
-    }
-    let trace_count = r.get_usize()?;
-    for _ in 0..trace_count {
-        let events = r.get_usize()?;
-        let mut trace = Vec::with_capacity(events.min(1 << 20));
-        for _ in 0..events {
-            trace.push(TraceEvent {
-                cycle: Cycle::new(r.get_u64()?),
-                page: PageId::new(r.get_u64()?),
-                warp: r.get_usize()?,
-                write: r.get_bool()?,
-            });
-        }
-        traces.push(trace);
-    }
-    let had_export = r.get_bool()?;
-    if had_export != export.is_some() {
-        return Err(CheckpointError::Incompatible(
-            "checkpoint and run disagree about trace export".into(),
-        )
-        .into());
-    }
-    if let Some(records) = export {
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let tag = r.get_u8()?;
-            let kind = TraceKind::from_tag(tag).ok_or(CheckpointError::Codec(
-                uvm_types::codec::CodecError::BadTag {
-                    what: "export record kind",
-                    value: u64::from(tag),
-                },
-            ))?;
-            records.push(TraceRecord {
-                kind,
-                cycle: r.get_u64()?,
-                page: r.get_u64()?,
-            });
-        }
-    }
-    let image = r.get_bytes()?;
-    let mut er = ByteReader::new(image);
-    engine.load_state(&mut er)?;
-    er.finish()?;
-    r.finish()?;
-    Ok(Some(next))
-}
-
 /// Runs `workload` under `opts` and returns the measurements.
 ///
 /// The device-memory budget is derived from the workload's footprint
@@ -935,7 +1042,8 @@ fn load_run_state(
 /// # Panics
 ///
 /// Panics on the failures [`try_run_workload`] reports as typed
-/// [`SimError`]s (export I/O, checkpoint damage, audit violations).
+/// [`SimError`]s (invalid options, export I/O, checkpoint damage,
+/// audit violations).
 pub fn run_workload(workload: &dyn Workload, opts: RunOptions) -> RunResult {
     match try_run_workload(workload, opts) {
         Ok(result) => result,
@@ -943,7 +1051,7 @@ pub fn run_workload(workload: &dyn Workload, opts: RunOptions) -> RunResult {
     }
 }
 
-/// [`run_workload`] with every durability failure surfaced as a typed
+/// [`run_workload`] with every failure surfaced as a typed
 /// [`SimError`] instead of a panic.
 ///
 /// With `opts.checkpoint` set, the run resumes from the latest valid
@@ -955,129 +1063,45 @@ pub fn run_workload(workload: &dyn Workload, opts: RunOptions) -> RunResult {
 /// every checkpoint boundary — and an inconsistency fails the run
 /// rather than persisting damaged state.
 pub fn try_run_workload(workload: &dyn Workload, opts: RunOptions) -> Result<RunResult, SimError> {
-    opts.assert_valid();
-    let footprint = measure_footprint(workload);
-    let capacity = derive_capacity(footprint, opts.memory_frac);
-    let warm = opts.warmup;
-    let (initial_prefetch, initial_evict) = match warm {
-        Some(w) => (w.prefetch.into(), w.evict.into()),
-        None => (opts.prefetch.clone(), opts.evict.clone()),
-    };
-
-    let (mut engine, kernels) =
-        build_engine(workload, &opts, capacity, initial_prefetch, initial_evict);
-    let total = kernels.len();
-    let warm_launches = warm.map_or(0, |w| w.effective_kernels(total));
-    let audit = audit_enabled(&opts);
-
-    let mut kernel_times = Vec::with_capacity(total);
-    let mut traces = Vec::new();
-    let mut export = opts.trace_export.as_ref().map(|_| Vec::new());
-
-    let ckpt = effective_checkpoint(&opts).map(|spec| {
-        (
-            spec.every_n_kernels,
-            checkpoint_path(&spec, workload, &opts),
-        )
-    });
-    let mut start = 0usize;
-    if let Some((_, path)) = &ckpt {
-        if let Some(resumed) = load_run_state(
-            path,
-            workload,
-            total,
-            &mut engine,
-            &mut kernel_times,
-            &mut traces,
-            export.as_mut(),
-        )? {
-            start = resumed;
-            if audit {
-                engine.audit().map_err(|error| SimError::Audit {
-                    kernel: resumed.saturating_sub(1),
-                    error,
-                })?;
-            }
-        }
+    opts.validate()?;
+    let mut lineage = Lineage::build(workload, &opts);
+    let ckpt = effective_checkpoint(workload, &opts);
+    if let Some(ckpt) = &ckpt {
+        lineage.resume_from(ckpt, &opts)?;
     }
-
-    for (i, kernel) in kernels.into_iter().enumerate().skip(start) {
-        if warm.is_some() && i == warm_launches {
-            engine
-                .gmmu_mut()
-                .swap_policies(opts.prefetch.clone(), opts.evict.clone());
-        }
-        run_launch(
-            &mut engine,
-            kernel,
-            opts.trace,
-            export.as_mut(),
-            &mut kernel_times,
-            &mut traces,
-        );
-        if audit {
-            engine
-                .audit()
-                .map_err(|error| SimError::Audit { kernel: i, error })?;
-        }
-        if let Some((every, path)) = &ckpt {
-            if (i + 1) % every == 0 && i + 1 < total {
-                let payload = encode_run_state(
-                    workload,
-                    total,
-                    i + 1,
-                    &kernel_times,
-                    &traces,
-                    export.as_ref(),
-                    &engine,
-                );
-                write_checkpoint(path, &payload)?;
-            }
-        }
+    let total = lineage.total();
+    let warm = opts.warmup.map_or(0, |w| w.effective_kernels(total));
+    lineage.run_to(warm, &opts, ckpt.as_ref())?;
+    // The cold path swaps in place rather than snapshotting, which
+    // keeps the fork-equivalence suite a real differential. A
+    // checkpoint taken after the swap restored the tail pair already.
+    if opts.warmup.is_some() && lineage.next() == warm && warm < total {
+        lineage.swap_policies(&opts);
     }
-    if let Some(records) = &export {
-        write_export(&opts, workload.name(), records)?;
-    }
-
-    Ok(collect_result(
-        &engine,
-        workload.name(),
-        footprint,
-        capacity,
-        kernel_times,
-        traces,
-    ))
+    lineage.run_to(total, &opts, ckpt.as_ref())?;
+    lineage.finish(&opts)
 }
 
 /// A simulated warm-up prefix, ready to be forked into per-policy
 /// tails.
 ///
 /// Produced by [`simulate_prefix`]; consumed (any number of times) by
-/// [`resume_run`]. The snapshot owns a deep copy of the engine, so the
-/// prefix is immutable and can be shared across worker threads.
+/// [`resume_run`]. The frozen lineage owns a deep copy of the engine,
+/// so the prefix is immutable and can be shared across worker threads.
 #[derive(Clone, Debug)]
 pub struct SweepPrefix {
-    snapshot: EngineSnapshot,
-    tail_kernels: Vec<KernelSpec>,
-    warm_times: Vec<Duration>,
-    warm_traces: Vec<Vec<TraceEvent>>,
-    /// Export records captured during the warm launches (empty when
-    /// the prefix options carried no `trace_export`).
-    warm_export: Vec<TraceRecord>,
-    name: String,
-    footprint: Bytes,
-    capacity: Option<Bytes>,
+    lineage: Lineage<'static, EngineSnapshot>,
 }
 
 impl SweepPrefix {
     /// Warm-up launches contained in the prefix.
     pub fn warm_launches(&self) -> usize {
-        self.warm_times.len()
+        self.lineage.kernel_times.len()
     }
 
     /// Launches remaining after the prefix.
     pub fn tail_launches(&self) -> usize {
-        self.tail_kernels.len()
+        self.lineage.kernels.len() - self.warm_launches()
     }
 }
 
@@ -1085,62 +1109,31 @@ impl SweepPrefix {
 ///
 /// `opts` must carry a warm-up; only its *shared* fields matter — the
 /// tail `prefetch`/`evict` pair is ignored here and supplied per point
-/// by [`resume_run`].
+/// by [`resume_run`]. Prefixes neither read nor write checkpoints.
+///
+/// # Errors
+///
+/// Invalid options are [`SimError::Options`]. With auditing enabled
+/// ([`RunOptions::with_audit`] or `UVM_AUDIT=1`), an invariant
+/// violation after a warm-up launch is [`SimError::Audit`], which the
+/// executor reports as a failure of every run in the prefix's group.
 ///
 /// # Panics
 ///
 /// Panics if `opts.warmup` is `None`.
-pub fn simulate_prefix(workload: &dyn Workload, opts: &RunOptions) -> SweepPrefix {
-    opts.assert_valid();
+pub fn simulate_prefix(
+    workload: &dyn Workload,
+    opts: &RunOptions,
+) -> Result<SweepPrefix, SimError> {
+    opts.validate()?;
     let warm = opts
         .warmup
         .expect("simulate_prefix requires RunOptions::warmup");
-    let footprint = measure_footprint(workload);
-    let capacity = derive_capacity(footprint, opts.memory_frac);
-
-    let (mut engine, kernels) = build_engine(
-        workload,
-        opts,
-        capacity,
-        warm.prefetch.into(),
-        warm.evict.into(),
-    );
-    let warm_launches = warm.effective_kernels(kernels.len());
-
-    let audit = audit_enabled(opts);
-    let mut warm_times = Vec::with_capacity(warm_launches);
-    let mut warm_traces = Vec::new();
-    let mut warm_export = opts.trace_export.as_ref().map(|_| Vec::new());
-    let mut kernels = kernels.into_iter();
-    for kernel in kernels.by_ref().take(warm_launches) {
-        run_launch(
-            &mut engine,
-            kernel,
-            opts.trace,
-            warm_export.as_mut(),
-            &mut warm_times,
-            &mut warm_traces,
-        );
-        if audit {
-            if let Err(e) = engine.audit() {
-                panic!(
-                    "invariant audit failed in warm-up kernel {}: {e}",
-                    warm_times.len() - 1
-                );
-            }
-        }
-    }
-
-    SweepPrefix {
-        snapshot: engine.snapshot(),
-        tail_kernels: kernels.collect(),
-        warm_times,
-        warm_traces,
-        warm_export: warm_export.unwrap_or_default(),
-        name: workload.name().to_owned(),
-        footprint,
-        capacity,
-    }
+    let mut lineage = Lineage::build(workload, opts);
+    lineage.run_to(warm.effective_kernels(lineage.total()), opts, None)?;
+    Ok(SweepPrefix {
+        lineage: lineage.freeze(),
+    })
 }
 
 /// Resumes a run from a shared prefix under `opts`' own tail policies.
@@ -1153,7 +1146,8 @@ pub fn simulate_prefix(workload: &dyn Workload, opts: &RunOptions) -> SweepPrefi
 /// # Panics
 ///
 /// Panics on the failures [`try_resume_run`] reports as typed
-/// [`SimError`]s (trace-export I/O).
+/// [`SimError`]s (invalid options, trace-export I/O, audit
+/// violations).
 pub fn resume_run(prefix: &SweepPrefix, opts: &RunOptions) -> RunResult {
     match try_resume_run(prefix, opts) {
         Ok(result) => result,
@@ -1161,58 +1155,19 @@ pub fn resume_run(prefix: &SweepPrefix, opts: &RunOptions) -> RunResult {
     }
 }
 
-/// [`resume_run`] with export failures surfaced as typed
-/// [`SimError`]s instead of panics.
+/// [`resume_run`] with every failure surfaced as a typed
+/// [`SimError`] instead of a panic.
 pub fn try_resume_run(prefix: &SweepPrefix, opts: &RunOptions) -> Result<RunResult, SimError> {
-    opts.assert_valid();
+    opts.validate()?;
     debug_assert!(
         opts.warmup.is_some(),
         "resume_run options should carry the sweep's warm-up"
     );
-    let mut engine = prefix.snapshot.fork();
-    engine
-        .gmmu_mut()
-        .swap_policies(opts.prefetch.clone(), opts.evict.clone());
-
-    let mut export = opts.trace_export.as_ref().map(|_| {
-        // A prefix built without export captured nothing for the warm
-        // launches; turn capture on for the tail either way.
-        engine.enable_trace();
-        engine.gmmu_mut().enable_fault_trace();
-        prefix.warm_export.clone()
-    });
-
-    let audit = audit_enabled(opts);
-    let mut kernel_times = prefix.warm_times.clone();
-    let mut traces = prefix.warm_traces.clone();
-    for kernel in prefix.tail_kernels.iter().cloned() {
-        run_launch(
-            &mut engine,
-            kernel,
-            opts.trace,
-            export.as_mut(),
-            &mut kernel_times,
-            &mut traces,
-        );
-        if audit {
-            let kernel = kernel_times.len() - 1;
-            engine
-                .audit()
-                .map_err(|error| SimError::Audit { kernel, error })?;
-        }
-    }
-    if let Some(records) = &export {
-        write_export(opts, &prefix.name, records)?;
-    }
-
-    Ok(collect_result(
-        &engine,
-        &prefix.name,
-        prefix.footprint,
-        prefix.capacity,
-        kernel_times,
-        traces,
-    ))
+    let mut lineage = prefix.lineage.fork(opts);
+    lineage.swap_policies(opts);
+    let total = lineage.total();
+    lineage.run_to(total, opts, None)?;
+    lineage.finish(opts)
 }
 
 #[cfg(test)]
@@ -1322,11 +1277,29 @@ mod tests {
             .with_prefetch(PrefetchPolicy::None)
             .with_warmup(Warmup::default());
         let cold = run_workload(&sweep(), opts.clone());
-        let prefix = simulate_prefix(&sweep(), &opts);
+        let prefix = simulate_prefix(&sweep(), &opts).unwrap();
         assert_eq!(prefix.warm_launches(), 1);
         assert_eq!(prefix.tail_launches(), 1);
         let forked = resume_run(&prefix, &opts);
         assert_eq!(format!("{cold:?}"), format!("{forked:?}"));
+    }
+
+    #[test]
+    fn invalid_options_are_a_typed_error_on_every_path() {
+        let bad = RunOptions::default()
+            .with_memory_frac(-1.0)
+            .with_warmup(Warmup::default());
+        let is_options_error =
+            |e: SimError| matches!(e, SimError::Options(OptionsError::BadMemoryFrac(_)));
+        assert!(is_options_error(
+            try_run_workload(&sweep(), bad.clone()).unwrap_err()
+        ));
+        assert!(is_options_error(
+            simulate_prefix(&sweep(), &bad).unwrap_err()
+        ));
+        let good = RunOptions::default().with_warmup(Warmup::default());
+        let prefix = simulate_prefix(&sweep(), &good).unwrap();
+        assert!(is_options_error(try_resume_run(&prefix, &bad).unwrap_err()));
     }
 
     #[test]

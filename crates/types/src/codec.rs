@@ -1,14 +1,19 @@
 //! A minimal binary codec for durable state — the byte-level
-//! foundation of the `UVMC` checkpoint format.
+//! foundation of every binary file format in the workspace: the
+//! `UVMC` checkpoint container, the `UVMT` trace format and the
+//! `UVML` learned-table format.
 //!
 //! The workspace builds offline (no serde), so every checkpointable
-//! structure hand-rolls `save`/`load` against these two types:
+//! structure and file format hand-rolls its encoding against these
+//! types:
 //!
 //! * [`ByteWriter`] — append-only encoder (varint integers, zig-zag
 //!   signed values, length-prefixed byte strings),
 //! * [`ByteReader`] — the matching bounds-checked decoder, returning
 //!   typed [`CodecError`]s instead of panicking on truncated or
-//!   corrupt input.
+//!   corrupt input,
+//! * [`payload_checksum`] — the 128-bit FNV-1a digest each file
+//!   stores over its payload.
 //!
 //! Encodings are canonical: a given value has exactly one byte
 //! sequence, so checkpoint bytes can be checksummed and compared
@@ -32,6 +37,16 @@
 //! ```
 
 use std::fmt;
+
+use crate::hash::StableHasher;
+
+/// The 128-bit FNV-1a checksum a file envelope stores over its
+/// payload, so a reader can reject damage before decoding a byte.
+pub fn payload_checksum(payload: &[u8]) -> u128 {
+    let mut h = StableHasher::new();
+    h.write_bytes(payload);
+    h.finish()
+}
 
 /// A typed decode failure. Carries enough context to name *what*
 /// failed without holding onto the (possibly large) input buffer.
@@ -246,6 +261,13 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// Reads `N` raw bytes as an array (fixed-width header fields).
+    pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut b = [0u8; N];
+        b.copy_from_slice(self.get_raw(N)?);
+        Ok(b)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         let b = self.get_raw(1)?;
@@ -310,10 +332,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads an `f64` by exact bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        let raw = self.get_raw(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(raw);
-        Ok(f64::from_bits(u64::from_le_bytes(b)))
+        Ok(f64::from_bits(u64::from_le_bytes(self.get_array()?)))
     }
 
     /// Reads length-prefixed bytes, validating the length against the

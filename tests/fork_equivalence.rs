@@ -46,7 +46,7 @@ fn forked_tails_match_cold_runs_for_every_paper_policy_pair() {
     let w = workload();
     // One shared prefix serves the whole 4×5 grid: the warm-up pair is
     // fixed, only the tail policies vary.
-    let prefix = simulate_prefix(&w, &options(PrefetchPolicy::None, EvictPolicy::LruPage));
+    let prefix = simulate_prefix(&w, &options(PrefetchPolicy::None, EvictPolicy::LruPage)).unwrap();
     assert_eq!(prefix.warm_launches(), 1);
     assert!(prefix.tail_launches() >= 1);
 
@@ -73,7 +73,7 @@ fn forked_tails_match_cold_runs_under_chaos_fault_injection() {
     let chaos = |prefetch, evict| {
         options(prefetch, evict).with_fault_plan(FaultPlan::chaos().with_seed(0xfa11))
     };
-    let prefix = simulate_prefix(&w, &chaos(PrefetchPolicy::None, EvictPolicy::LruPage));
+    let prefix = simulate_prefix(&w, &chaos(PrefetchPolicy::None, EvictPolicy::LruPage)).unwrap();
     for (prefetch, evict) in [
         (PrefetchPolicy::None, EvictPolicy::LruPage),
         (
@@ -99,7 +99,7 @@ fn forks_share_no_mutable_state_with_the_snapshot_or_each_other() {
     let opts_a = options(PrefetchPolicy::None, EvictPolicy::RandomPage);
     let opts_b = options(PrefetchPolicy::TreeBasedNeighborhood, EvictPolicy::LruPage);
 
-    let prefix = simulate_prefix(&w, &opts_a);
+    let prefix = simulate_prefix(&w, &opts_a).unwrap();
     let first_a = resume_run(&prefix, &opts_a);
     // A second fork with different tail policies diverges on its own…
     let first_b = resume_run(&prefix, &opts_b);

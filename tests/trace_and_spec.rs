@@ -16,13 +16,20 @@
 //!   committed fixtures);
 //! * the history-based `markov` prefetcher is deterministic across
 //!   executor worker counts — `--jobs 1` and `--jobs 8` must be
-//!   bit-for-bit interchangeable.
+//!   bit-for-bit interchangeable;
+//! * the committed `results/traces/*.uvmt` and `results/trained/*.tbl`
+//!   files decode and re-encode to the same bytes, and a warmed run
+//!   that exports through a forked tail writes the same file as the
+//!   run that warms in place.
 
 use std::path::PathBuf;
 
-use uvm_core::trace::decode_trace;
+use uvm_core::trace::{decode_trace, encode_trace, LearnedTable, TraceKind};
 use uvm_core::{EvictPolicy, PolicyRegistry, PolicySpec, PrefetchPolicy};
-use uvm_sim::{run_workload, Executor, RunOptions, RunResult};
+use uvm_sim::{
+    run_workload, simulate_prefix, try_resume_run, try_run_workload, Executor, RunOptions,
+    RunResult, Warmup,
+};
 use uvm_workloads::Hotspot;
 
 /// The golden-fixture workload (see `golden_fixtures.rs`): small
@@ -223,4 +230,86 @@ fn markov_runs_are_identical_across_worker_counts() {
     };
 
     assert_eq!(run_all(1), run_all(8), "--jobs 1 and --jobs 8 diverged");
+}
+
+/// The committed files under `results/<dir>/` with extension `ext`,
+/// sorted by name.
+fn committed(dir: &str, ext: &str) -> Vec<PathBuf> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(dir);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&root)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", root.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == ext))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn committed_traces_and_tables_re_encode_byte_identically() {
+    let traces = committed("traces", "uvmt");
+    assert_eq!(traces.len(), 7, "one committed trace per paper benchmark");
+    for path in &traces {
+        let bytes = std::fs::read(path).expect("read trace");
+        let (meta, records) = decode_trace(&bytes)
+            .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+        assert!(!records.is_empty(), "{} holds records", path.display());
+        assert!(
+            encode_trace(&meta, &records) == bytes,
+            "{} re-encodes to different bytes",
+            path.display()
+        );
+    }
+
+    let tables = committed("trained", "tbl");
+    assert_eq!(tables.len(), 7, "one trained table per paper benchmark");
+    for path in &tables {
+        let bytes = std::fs::read(path).expect("read table");
+        let table = LearnedTable::decode(&bytes)
+            .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+        assert!(
+            table.encode() == bytes,
+            "{} re-encodes to different bytes",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn forked_tail_exports_the_same_trace_as_the_in_place_run() {
+    let dir = scratch("forked-export");
+    let path = dir.join("hotspot.uvmt");
+    let w = workload();
+    let opts = RunOptions::default()
+        .with_prefetch(PrefetchPolicy::SequentialLocal)
+        .with_evict(EvictPolicy::SequentialLocal)
+        .with_memory_frac(1.10)
+        .with_trace(true)
+        .with_warmup(Warmup::default())
+        .with_trace_export(&path);
+
+    let prefix = simulate_prefix(&w, &opts).expect("prefix simulates");
+    assert_eq!(prefix.warm_launches(), 1);
+    let forked = try_resume_run(&prefix, &opts).expect("forked tail runs");
+    let forked_bytes = std::fs::read(&path).expect("forked run exported");
+    std::fs::remove_file(&path).expect("remove the forked export");
+
+    let in_place = try_run_workload(&w, opts).expect("in-place run");
+    let in_place_bytes = std::fs::read(&path).expect("in-place run exported");
+
+    assert_eq!(format!("{forked:?}"), format!("{in_place:?}"));
+    assert!(
+        forked_bytes == in_place_bytes,
+        "forked and in-place exports differ"
+    );
+    // The export covers the warm launch as well as the tail.
+    let (_, records) = decode_trace(&forked_bytes).expect("export decodes");
+    let boundaries = records
+        .iter()
+        .filter(|r| r.kind == TraceKind::KernelEnd)
+        .count();
+    assert_eq!(boundaries, forked.kernel_times.len());
+    std::fs::remove_dir_all(&dir).ok();
 }
