@@ -10,7 +10,7 @@ use std::hint::black_box;
 
 use uvm_bench::harness::Bench;
 use uvm_core::{EvictPolicy, PrefetchPolicy};
-use uvm_mem::{ReferenceTlb, ShootdownDirectory, Tlb};
+use uvm_mem::{ShootdownDirectory, Tlb};
 use uvm_sim::{run_workload, RunOptions};
 use uvm_types::PageId;
 use uvm_workloads::Hotspot;
@@ -35,14 +35,6 @@ fn hit_pattern() -> Vec<PageId> {
 
 fn full_tlb() -> Tlb {
     let mut tlb = Tlb::new(TLB_ENTRIES);
-    for i in 0..TLB_ENTRIES as u64 {
-        tlb.fill(PageId::new(i));
-    }
-    tlb
-}
-
-fn full_reference_tlb() -> ReferenceTlb {
-    let mut tlb = ReferenceTlb::new(TLB_ENTRIES);
     for i in 0..TLB_ENTRIES as u64 {
         tlb.fill(PageId::new(i));
     }
@@ -113,25 +105,8 @@ fn bench_tlb(b: &Bench) {
     let span = 32 * NUM_SMS as u64 - 64;
     let holders_of = |page: u64| [page / 32 - 1, page / 32];
 
-    // The shootdown broadcast the engine used to perform per evicted
-    // page: one invalidate against each of the 28 SM TLBs (26 of them
-    // cheap misses), then the true holders refill so state stays in a
-    // steady cycle.
-    let mut tlbs = windowed_tlbs();
-    let mut i = 0u64;
-    b.bench("tlb/shootdown_broadcast_28sms", || {
-        let page = 64 + i % span;
-        for tlb in &mut tlbs {
-            tlb.invalidate(PageId::new(page));
-        }
-        for s in holders_of(page) {
-            tlbs[s as usize].fill(PageId::new(page));
-        }
-        i += 1;
-    });
-
-    // What the engine does now: generation bump + targeted drain over
-    // the holder set (same steady state — two SMs hold the page).
+    // Generation bump + targeted drain over the holder set, then the
+    // true holders refill so state stays in a steady cycle.
     let mut tlbs = windowed_tlbs();
     let mut dir = ShootdownDirectory::new(NUM_SMS);
     for (s, _) in tlbs.iter().enumerate() {
@@ -154,96 +129,15 @@ fn bench_tlb(b: &Bench) {
     });
 }
 
-/// The previous `VecDeque` TLB on the same patterns, for head-to-head
-/// before/after numbers in one run.
-fn bench_reference_tlb(b: &Bench) {
-    let mut tlb = full_reference_tlb();
-    let pattern = hit_pattern();
-    let mut i = 0usize;
-    b.bench("tlb_ref/lookup_hit_64_scattered", || {
-        let hit = tlb.lookup(pattern[i % pattern.len()]);
-        i += 1;
-        black_box(hit);
-    });
-
-    let mut tlb = full_reference_tlb();
-    let mut i = 0u64;
-    b.bench("tlb_ref/lookup_miss_64", || {
-        let miss = tlb.lookup(PageId::new(1000 + (i % 1024)));
-        i += 1;
-        black_box(miss);
-    });
-
-    let mut tlb = full_reference_tlb();
-    let mut i = 0u64;
-    b.bench("tlb_ref/fill_evict_64", || {
-        tlb.fill(PageId::new(100 + (i % 1024)));
-        i += 1;
-    });
-
-    // Same windowed two-holder steady state as `tlb/shootdown_*`, so
-    // the reference row stays head-to-head comparable.
-    let mut tlbs: Vec<ReferenceTlb> = (0..NUM_SMS)
-        .map(|s| {
-            let mut tlb = ReferenceTlb::new(TLB_ENTRIES);
-            for p in 0..TLB_ENTRIES as u64 {
-                tlb.fill(PageId::new(32 * s as u64 + p));
-            }
-            tlb
-        })
-        .collect();
-    let span = 32 * NUM_SMS as u64 - 64;
-    let mut i = 0u64;
-    b.bench("tlb_ref/shootdown_broadcast_28sms", || {
-        let page = 64 + i % span;
-        for tlb in &mut tlbs {
-            tlb.invalidate(PageId::new(page));
-        }
-        for s in [page / 32 - 1, page / 32] {
-            tlbs[s as usize].fill(PageId::new(page));
-        }
-        i += 1;
-    });
-}
-
 /// The engine's event-queue churn pattern: a near-monotone stream of
 /// (cycle, seq) events — mostly short hops (TLB-hit latency), a few
 /// long fault-latency hops — pushed and popped through the priority
 /// structure. Models ~224 in-flight warp events (28 SMs x 8 blocks).
 fn bench_queue(b: &Bench) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     use uvm_gpu::EventQueue;
     use uvm_types::Cycle;
 
     const WARPS: u64 = 224;
-    b.bench("queue/binaryheap_churn_224warps", || {
-        let mut q: BinaryHeap<Reverse<(Cycle, u64, usize)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for w in 0..WARPS {
-            q.push(Reverse((Cycle::ZERO, seq, w as usize)));
-            seq += 1;
-        }
-        let mut popped = 0u64;
-        while let Some(Reverse((t, _, w))) = q.pop() {
-            popped += 1;
-            if popped >= 20_000 {
-                break;
-            }
-            // 1-in-64 events take the far-fault hop, the rest the
-            // TLB-hit hop — the engine's actual latency mix.
-            let hop = if popped.is_multiple_of(64) {
-                66_645
-            } else {
-                321
-            };
-            q.push(Reverse((Cycle::new(t.index() + hop), seq, w)));
-            seq += 1;
-        }
-        black_box(popped);
-    });
-
-    // Same churn through the calendar queue the engine uses now.
     b.bench("queue/calendar_churn_224warps", || {
         let mut q: EventQueue<usize> = EventQueue::new();
         for w in 0..WARPS {
@@ -255,6 +149,8 @@ fn bench_queue(b: &Bench) {
             if popped >= 20_000 {
                 break;
             }
+            // 1-in-64 events take the far-fault hop, the rest the
+            // TLB-hit hop — the engine's actual latency mix.
             let hop = if popped.is_multiple_of(64) {
                 66_645
             } else {
@@ -268,13 +164,11 @@ fn bench_queue(b: &Bench) {
 
 /// The evictor sampling path: the resident set under migration/
 /// eviction churn with random victim draws — the random evictor's
-/// steady state at over-subscription. Compares the bitmap-backed
-/// [`IndexedPageSet`] against a `HashMap`-position reference (the
-/// pre-bitset layout) on identical operation streams.
+/// steady state at over-subscription, on the bitmap-backed
+/// [`IndexedPageSet`].
 fn bench_resident_set(b: &Bench) {
-    use std::collections::HashMap;
     use uvm_core::IndexedPageSet;
-    use uvm_types::rng::{Rng, SmallRng};
+    use uvm_types::rng::SmallRng;
 
     /// 64 Ki resident pages (a 256 MB device at 4 KB), then churn:
     /// per step evict one random victim and admit one fresh page,
@@ -299,40 +193,6 @@ fn bench_resident_set(b: &Bench) {
             set.insert(PageId::new(next));
         }
         black_box(set.len());
-    });
-
-    // The historical layout: Vec of items + HashMap page→position.
-    b.bench("resident/hashmap_churn_sample_64k", || {
-        let mut items: Vec<PageId> = Vec::new();
-        let mut pos: HashMap<PageId, usize> = HashMap::new();
-        let insert = |items: &mut Vec<PageId>, pos: &mut HashMap<PageId, usize>, p: PageId| {
-            if pos.contains_key(&p) {
-                return;
-            }
-            pos.insert(p, items.len());
-            items.push(p);
-        };
-        let remove = |items: &mut Vec<PageId>, pos: &mut HashMap<PageId, usize>, p: PageId| {
-            let Some(i) = pos.remove(&p) else { return };
-            let last = items.pop().expect("non-empty");
-            if i < items.len() {
-                items[i] = last;
-                pos.insert(last, i);
-            }
-        };
-        for p in 0..RESIDENT {
-            insert(&mut items, &mut pos, PageId::new(p));
-        }
-        let mut rng = SmallRng::seed_from_u64(0x5eed);
-        for next in RESIDENT..RESIDENT + STEPS {
-            let mut victim = items[rng.gen_range(0..items.len())];
-            for _ in 1..DRAWS {
-                victim = items[rng.gen_range(0..items.len())];
-            }
-            remove(&mut items, &mut pos, victim);
-            insert(&mut items, &mut pos, PageId::new(next));
-        }
-        black_box(items.len());
     });
 }
 
@@ -368,7 +228,6 @@ fn bench_single_run(b: &Bench) {
 fn main() {
     let b = Bench::from_args();
     bench_tlb(&b);
-    bench_reference_tlb(&b);
     bench_queue(&b);
     bench_resident_set(&b);
     bench_single_run(&b);

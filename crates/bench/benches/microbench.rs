@@ -113,37 +113,23 @@ fn bench_gmmu_lookup(b: &Bench) {
     });
 }
 
-/// Head-to-head of the two frame-table representations: the dense
-/// page-indexed `DensePageMap` now used by the GMMU versus the
-/// `HashMap` it replaced, probing the same 4096-page resident set in
-/// the same order.
-fn bench_frame_table_repr(b: &Bench) {
-    use std::collections::HashMap;
+/// The GMMU's dense page-indexed frame table (`DensePageMap`),
+/// probing a 4096-page resident set for hits and misses.
+fn bench_frame_table(b: &Bench) {
     use uvm_core::DensePageMap;
     use uvm_mem::{FrameAllocator, FrameId};
 
     let pages = 4096u64;
     let mut frames = FrameAllocator::new(PAGE_SIZE * pages);
     let mut dense: DensePageMap<FrameId> = DensePageMap::new();
-    let mut map: HashMap<PageId, FrameId> = HashMap::new();
     for i in 0..pages {
         let f = frames.allocate().expect("within budget");
         dense.insert(PageId::new(i), f);
-        map.insert(PageId::new(i), f);
     }
     b.bench("frame_table/dense_probe_4k", || {
         let mut hits = 0u64;
         for i in 0..2 * pages {
             if dense.get(PageId::new(i)).is_some() {
-                hits += 1;
-            }
-        }
-        black_box(hits);
-    });
-    b.bench("frame_table/hashmap_probe_4k", || {
-        let mut hits = 0u64;
-        for i in 0..2 * pages {
-            if map.contains_key(&PageId::new(i)) {
                 hits += 1;
             }
         }
@@ -156,22 +142,16 @@ fn bench_frame_table_repr(b: &Bench) {
 /// order-4 split/merge cycle, and the 2 MB region reserve → carve →
 /// release cycle backing MOSp's contiguous placement.
 fn bench_frame_alloc(b: &Bench) {
-    use uvm_mem::{FrameAllocator, ReferenceFrameAllocator};
+    use uvm_mem::FrameAllocator;
     use uvm_types::BASIC_BLOCK_ORDER;
 
     const FRAMES: u64 = 4096; // eight 2 MB regions
 
-    // Steady-state single-frame churn: LIFO pop + push, the hot path
-    // shared with the reference allocator it must stay equivalent to.
+    // Steady-state single-frame churn: LIFO pop + push.
     let mut alloc = FrameAllocator::with_frames(FRAMES);
     b.bench("frames/alloc_free_single", || {
         let f = alloc.allocate().expect("within budget");
         alloc.free(f).expect("just allocated");
-    });
-    let mut reference = ReferenceFrameAllocator::with_frames(FRAMES);
-    b.bench("frames/alloc_free_single_reference", || {
-        let f = reference.allocate().expect("within budget");
-        reference.free(f).expect("just allocated");
     });
 
     // Split/merge cycle: carving a 64 KB block out of a free 2 MB
@@ -336,7 +316,7 @@ fn main() {
     bench_lru(&b);
     bench_pcie(&b);
     bench_gmmu_lookup(&b);
-    bench_frame_table_repr(&b);
+    bench_frame_table(&b);
     bench_frame_alloc(&b);
     bench_gmmu_faults(&b);
     b.write_json_from_env("microbench")

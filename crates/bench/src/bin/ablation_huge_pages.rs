@@ -13,7 +13,7 @@
 //! kernel time, and the huge-page mechanism counters (coalesces,
 //! splinters, allocator splits/merges) for the MOSp+MOSe cells.
 //! Without `--oversub` the sweep covers
-//! [`HUGE_PAGE_OVERSUB`](uvm_sim::experiments::HUGE_PAGE_OVERSUB).
+//! [`HUGE_PAGE_OVERSUB`].
 
 use uvm_bench::{config_from_args, emit};
 use uvm_sim::experiments::{huge_page_ablation, HUGE_PAGE_OVERSUB};

@@ -2,7 +2,8 @@
 //! `UVMT` trace into a `UVML` prediction table (DESIGN.md §10).
 //!
 //! ```sh
-//! cargo run --release -p uvm-bench --bin fig11 -- --trace-out results/traces
+//! cargo run --release -p uvm-bench --bin ablation_history_prefetch -- \
+//!     --smoke --trace-out results/traces
 //! cargo run --release -p uvm-bench --bin train_prefetcher -- \
 //!     results/traces/nw.uvmt --out results/trained/nw.tbl --depth 2
 //! cargo run --release -p uvm-bench --bin ablation_policy_pair -- \

@@ -18,7 +18,7 @@
 //! `results/cache/` so re-invocations resume instead of re-simulating.
 //! Delete `results/cache/` to force fresh runs.
 //!
-//! The shared command line is described by one declarative [`FlagSpec`]
+//! The shared command line is described by one declarative `FlagSpec`
 //! table: each entry names the flag, its value shape, and its help
 //! line, and a single loop accepts both `--flag VALUE` and
 //! `--flag=VALUE` spellings. `--help` renders the same table.
@@ -49,7 +49,7 @@ pub enum BenchError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// One or more simulation runs failed after their retry budget;
+    /// One or more simulation runs failed (panicked or hit a typed error);
     /// the executor's failure report has the details.
     Sweep(String),
     /// A trace or trained-table artifact under `results/` could not
@@ -104,8 +104,10 @@ pub struct Config {
     /// Evictor override (`--evict SPEC`), canonicalized through the
     /// policy registry. Binaries that sweep policies ignore it.
     pub evict: Option<PolicySpec>,
-    /// Trace-export directory (`--trace-out DIR`); binaries that
-    /// support it write one `.uvmt` file per run under this directory.
+    /// Trace-export directory (`--trace-out DIR`). Only
+    /// `ablation_history_prefetch` reads it: it writes one
+    /// `<benchmark>.uvmt` training trace per benchmark there. Other
+    /// binaries ignore it.
     pub trace_out: Option<PathBuf>,
     /// Fault-injection profile (`--fault-profile NAME`); `None` means
     /// the binary's default (usually [`FaultPlan::none`]).
@@ -189,15 +191,6 @@ impl Config {
             Some(seed) => plan.with_seed(seed),
             None => plan,
         }
-    }
-
-    /// Where a run named `run` should export its trace: the
-    /// `--trace-out` directory joined with `<run>.uvmt`, or `None`
-    /// when trace export is off.
-    pub fn trace_path(&self, run: &str) -> Option<PathBuf> {
-        self.trace_out
-            .as_ref()
-            .map(|dir| dir.join(format!("{run}.uvmt")))
     }
 }
 
@@ -304,7 +297,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--trace-out",
         metavar: Some("DIR"),
-        help: "export per-run access/fault traces as DIR/<run>.uvmt",
+        help: "ablation_history_prefetch only: write training traces as DIR/<benchmark>.uvmt",
         apply: |ctx, v| {
             if v.is_empty() {
                 return Err("bad --trace-out value: directory must be non-empty".into());
@@ -399,7 +392,7 @@ const FLAGS: &[FlagSpec] = &[
     },
 ];
 
-/// Parses the common binary arguments off the [`FlagSpec`] table; see
+/// Parses the common binary arguments off the `FlagSpec` table; see
 /// `--help` for the catalogue. Every value-taking flag accepts both
 /// `--flag VALUE` and `--flag=VALUE`. `--list-policies` prints the
 /// policy registry and exits 0; `--help` prints the flag table and
@@ -473,7 +466,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
     Ok(Parsed::Run(Box::new(ctx.cfg)))
 }
 
-/// The `--help` text, rendered straight from the [`FlagSpec`] table.
+/// The `--help` text, rendered straight from the `FlagSpec` table.
 pub fn render_help() -> String {
     let mut out = String::from("usage: [FLAGS]\n");
     for f in FLAGS {
@@ -754,15 +747,11 @@ mod tests {
             panic!("expected a runnable config");
         };
         assert_eq!(cfg.trace_out, Some(PathBuf::from("results/traces")));
-        assert_eq!(
-            cfg.trace_path("nw_markov"),
-            Some(PathBuf::from("results/traces/nw_markov.uvmt"))
-        );
         let Parsed::Run(cfg) = p(&["--trace-out=out"]).unwrap() else {
             panic!("expected a runnable config");
         };
         assert_eq!(cfg.trace_out, Some(PathBuf::from("out")));
-        assert_eq!(Config::default().trace_path("x"), None);
+        assert_eq!(Config::default().trace_out, None);
         assert!(p(&["--trace-out"]).is_err());
     }
 

@@ -42,7 +42,7 @@ use uvm_types::{
     PAGE_SIZE,
 };
 
-use crate::alloc::{AllocId, Allocations};
+use crate::alloc::Allocations;
 use crate::config::UvmConfig;
 use crate::dense::{DensePageMap, DensePageSet};
 use crate::evict::Evictor;
@@ -368,11 +368,6 @@ impl Gmmu {
         self.allocs.get(id).base()
     }
 
-    /// Registers a managed allocation and returns its id.
-    pub fn malloc_managed_id(&mut self, size: Bytes) -> AllocId {
-        self.allocs.allocate(size)
-    }
-
     /// The allocation registry.
     pub fn allocations(&self) -> &Allocations {
         &self.allocs
@@ -649,11 +644,6 @@ impl Gmmu {
     /// prefetcher.
     pub fn prefetch_disabled(&self) -> bool {
         self.prefetch_disabled
-    }
-
-    /// The earliest instant a fault-handling lane becomes free.
-    pub fn driver_free(&self) -> Cycle {
-        self.lanes.iter().copied().min().unwrap_or(Cycle::ZERO)
     }
 
     /// The configuration in force.
@@ -1110,11 +1100,6 @@ impl Gmmu {
     /// `true` if `lp` is currently coalesced into one huge mapping.
     pub fn is_huge_mapped(&self, lp: LargePageId) -> bool {
         self.huge_mapped.contains(&lp)
-    }
-
-    /// Number of currently coalesced large pages.
-    pub fn huge_mapped_len(&self) -> usize {
-        self.huge_mapped.len()
     }
 
     /// The current epoch of `lp`'s huge mapping regardless of
@@ -1584,6 +1569,7 @@ impl std::error::Error for AuditError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::AllocId;
     use crate::policy::{EvictPolicy, PrefetchPolicy};
     use crate::prefetch::LearnedPrefetcher;
     use crate::trace::{train_table, TraceKind, TraceRecord};

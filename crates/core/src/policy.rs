@@ -25,7 +25,7 @@ pub enum PrefetchPolicy {
     /// SLp: the faulty page's whole 64 KB basic block is migrated,
     /// split into a page-fault group and a prefetch group (Sec. 3.2).
     SequentialLocal,
-    /// The locality-aware prefetcher of Zheng et al. [26], which the
+    /// The locality-aware prefetcher of Zheng et al. \[26\], which the
     /// paper contrasts with SLp: 128 consecutive 4 KB pages (512 KB)
     /// starting from the faulty page, crossing 64 KB block boundaries
     /// (and potentially 2 MB boundaries, requiring the cross-large-page

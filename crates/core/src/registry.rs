@@ -460,39 +460,6 @@ impl PolicyRegistry {
         (entry.factory)(cfg, &canonical)
     }
 
-    /// Builds the prefetcher for `selector`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no entry carries the selector (the built-in registry
-    /// covers every enum variant; selector-bearing entries take no
-    /// parameters, so the factory cannot fail).
-    pub fn build_prefetcher(
-        &self,
-        selector: PrefetchPolicy,
-        cfg: &UvmConfig,
-    ) -> Box<dyn Prefetcher> {
-        let entry = self
-            .prefetcher_for(selector)
-            .unwrap_or_else(|| panic!("no registered prefetcher for {selector:?}"));
-        (entry.factory)(cfg, &PolicySpec::new(entry.name))
-            .unwrap_or_else(|e| panic!("building {selector:?} failed: {e}"))
-    }
-
-    /// Builds the evictor for `selector`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no entry carries the selector (the built-in registry
-    /// covers every enum variant).
-    pub fn build_evictor(&self, selector: EvictPolicy, cfg: &UvmConfig) -> Box<dyn Evictor> {
-        let entry = self
-            .evictor_for(selector)
-            .unwrap_or_else(|| panic!("no registered evictor for {selector:?}"));
-        (entry.factory)(cfg, &PolicySpec::new(entry.name))
-            .unwrap_or_else(|e| panic!("building {selector:?} failed: {e}"))
-    }
-
     /// All registered prefetchers, registration order.
     pub fn prefetchers(&self) -> &[PrefetcherEntry] {
         &self.prefetchers

@@ -238,6 +238,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(TraceMeta, Vec<TraceRecord>), Trace
     };
     let count = r.get_usize()?;
     let payload = get_payload(&mut r)?;
+    r.finish()?;
 
     // A record takes at least three bytes: tag plus two varints.
     let mut records = Vec::with_capacity(count.min(payload.len() / 3));
@@ -255,6 +256,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(TraceMeta, Vec<TraceRecord>), Trace
             page: page as u64,
         });
     }
+    rp.finish()?;
     Ok((meta, records))
 }
 
@@ -329,6 +331,7 @@ impl LearnedTable {
         let mut r = ByteReader::new(bytes);
         check_preamble(&mut r, TABLE_MAGIC, TABLE_VERSION)?;
         let mut rp = ByteReader::new(get_payload(&mut r)?);
+        r.finish()?;
         let depth = rp.get_usize()?;
         let count = rp.get_usize()?;
         // Every count read from the file is untrusted: each delta and
@@ -347,6 +350,7 @@ impl LearnedTable {
             }
             entries.push((context, nexts));
         }
+        rp.finish()?;
         Ok(LearnedTable { depth, entries })
     }
 
@@ -623,6 +627,50 @@ mod tests {
         put_preamble(&mut w, TABLE_MAGIC, TABLE_VERSION);
         put_payload(&mut w, payload);
         w.into_bytes()
+    }
+
+    fn is_trailing(err: TraceError) -> bool {
+        matches!(err, TraceError::Codec(CodecError::TrailingBytes { .. }))
+    }
+
+    #[test]
+    fn bytes_after_the_payload_are_rejected() {
+        let mut trace = encode_trace(&TraceMeta::default(), &sample_records());
+        trace.push(0);
+        assert!(is_trailing(decode_trace(&trace).unwrap_err()));
+
+        let mut table = train_table(&sample_records(), 1, 1).encode();
+        table.push(0);
+        assert!(is_trailing(LearnedTable::decode(&table).unwrap_err()));
+    }
+
+    #[test]
+    fn junk_after_the_last_record_is_rejected() {
+        // A valid payload plus one byte, under a recomputed checksum:
+        // only the payload reader's own end check can catch it.
+        let good = encode_trace(&TraceMeta::default(), &sample_records());
+        let mut r = ByteReader::new(&good);
+        check_preamble(&mut r, TRACE_MAGIC, TRACE_VERSION).unwrap();
+        for _ in 0..3 {
+            r.get_str().unwrap();
+        }
+        r.get_array::<8>().unwrap();
+        r.get_usize().unwrap();
+        let head = good.len() - r.remaining();
+        let mut payload = get_payload(&mut r).unwrap().to_vec();
+        payload.push(0);
+        let mut w = ByteWriter::new();
+        w.put_raw(&good[..head]);
+        put_payload(&mut w, &payload);
+        assert!(is_trailing(decode_trace(&w.into_bytes()).unwrap_err()));
+
+        // An empty table's payload (depth, count = 0) plus one byte.
+        let mut payload = ByteWriter::new();
+        payload.put_usize(1);
+        payload.put_usize(0);
+        payload.put_u8(0);
+        let file = table_file(&payload.into_bytes());
+        assert!(is_trailing(LearnedTable::decode(&file).unwrap_err()));
     }
 
     #[test]

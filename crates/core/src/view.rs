@@ -109,23 +109,9 @@ impl<'a> ResidencyView<'a> {
         self.allocs.get(id)
     }
 
-    /// Number of resident pages.
-    pub fn resident_len(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Resident pages, unspecified order (eviction fallback scans).
     pub fn resident_iter(&self) -> impl Iterator<Item = PageId> + 'a {
         self.resident.iter()
-    }
-
-    /// Resident pages in ascending page order — a u64-word bitmap
-    /// scan, 64 absent pages skipped per comparison. The order depends
-    /// only on the resident set itself (not on migration history), so
-    /// policies scanning it stay deterministic across snapshot/fork
-    /// boundaries.
-    pub fn resident_iter_ascending(&self) -> impl Iterator<Item = PageId> + 'a {
-        self.resident.iter_ascending()
     }
 
     /// A uniformly random resident page, or `None` if nothing is
@@ -160,17 +146,6 @@ impl<'a> ResidencyView<'a> {
     /// splinter-aware evictors check this before selecting victims.
     pub fn is_huge_mapped(&self, lp: LargePageId) -> bool {
         self.huge_mapped.contains(&lp)
-    }
-
-    /// Number of currently huge-mapped large pages.
-    pub fn huge_mapped_len(&self) -> usize {
-        self.huge_mapped.len()
-    }
-
-    /// Currently huge-mapped large pages in ascending order
-    /// (deterministic for policy scans).
-    pub fn huge_mapped_iter(&self) -> impl Iterator<Item = LargePageId> + 'a {
-        self.huge_mapped.iter().copied()
     }
 
     /// Resident pages within `lp`'s 512-page range. O(1) while a

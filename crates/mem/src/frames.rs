@@ -37,10 +37,10 @@
 //! `free()` pushes onto that list. Higher-order free lists and regions
 //! only come into play when block/region APIs are exercised — which
 //! only the huge-page policies do — so every pre-existing policy sees
-//! the exact frame sequence it always has. `ReferenceFrameAllocator`
-//! preserves the old implementation verbatim and a differential test
-//! pins the equivalence, which is what makes the 20 golden fixtures
-//! provably safe across this refactor.
+//! the exact frame sequence it always has. A differential test against
+//! the old implementation, kept verbatim in this module's tests as
+//! `ReferenceFrameAllocator`, pins the equivalence, which is what
+//! makes the 20 golden fixtures provably safe across this refactor.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -599,67 +599,67 @@ impl FrameAllocator {
     }
 }
 
-/// The flat free-list allocator this crate shipped before the buddy
-/// refactor, kept verbatim as the differential-test oracle: the buddy
-/// allocator's single-frame path must hand out the exact same frame
-/// sequence (that equivalence is what keeps the 20 golden fixtures
-/// byte-identical).
-#[derive(Clone, Debug)]
-pub struct ReferenceFrameAllocator {
-    capacity: u64,
-    free_list: Vec<FrameId>,
-    next_unused: u64,
-    in_use: u64,
-}
-
-impl ReferenceFrameAllocator {
-    /// Creates a reference allocator managing exactly `frames` frames.
-    pub fn with_frames(frames: u64) -> Self {
-        ReferenceFrameAllocator {
-            capacity: frames,
-            free_list: Vec::new(),
-            next_unused: 0,
-            in_use: 0,
-        }
-    }
-
-    /// Allocates one frame, or `None` if the budget is exhausted.
-    pub fn allocate(&mut self) -> Option<FrameId> {
-        let frame = if let Some(f) = self.free_list.pop() {
-            f
-        } else if self.next_unused < self.capacity {
-            let f = FrameId(self.next_unused);
-            self.next_unused += 1;
-            f
-        } else {
-            return None;
-        };
-        self.in_use += 1;
-        Some(frame)
-    }
-
-    /// Returns `frame` to the free pool.
-    pub fn free(&mut self, frame: FrameId) -> Result<(), FrameError> {
-        if self.in_use == 0 {
-            return Err(FrameError::NothingAllocated);
-        }
-        if frame.0 >= self.next_unused {
-            return Err(FrameError::NeverAllocated(frame));
-        }
-        self.in_use -= 1;
-        self.free_list.push(frame);
-        Ok(())
-    }
-
-    /// Frames still available.
-    pub fn free_frames(&self) -> u64 {
-        self.capacity - self.in_use
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flat free-list allocator this crate shipped before the buddy
+    /// refactor, kept verbatim as the differential-test oracle: the buddy
+    /// allocator's single-frame path must hand out the exact same frame
+    /// sequence (that equivalence is what keeps the 20 golden fixtures
+    /// byte-identical).
+    #[derive(Clone, Debug)]
+    struct ReferenceFrameAllocator {
+        capacity: u64,
+        free_list: Vec<FrameId>,
+        next_unused: u64,
+        in_use: u64,
+    }
+
+    impl ReferenceFrameAllocator {
+        /// Creates a reference allocator managing exactly `frames` frames.
+        fn with_frames(frames: u64) -> Self {
+            ReferenceFrameAllocator {
+                capacity: frames,
+                free_list: Vec::new(),
+                next_unused: 0,
+                in_use: 0,
+            }
+        }
+
+        /// Allocates one frame, or `None` if the budget is exhausted.
+        fn allocate(&mut self) -> Option<FrameId> {
+            let frame = if let Some(f) = self.free_list.pop() {
+                f
+            } else if self.next_unused < self.capacity {
+                let f = FrameId(self.next_unused);
+                self.next_unused += 1;
+                f
+            } else {
+                return None;
+            };
+            self.in_use += 1;
+            Some(frame)
+        }
+
+        /// Returns `frame` to the free pool.
+        fn free(&mut self, frame: FrameId) -> Result<(), FrameError> {
+            if self.in_use == 0 {
+                return Err(FrameError::NothingAllocated);
+            }
+            if frame.0 >= self.next_unused {
+                return Err(FrameError::NeverAllocated(frame));
+            }
+            self.in_use -= 1;
+            self.free_list.push(frame);
+            Ok(())
+        }
+
+        /// Frames still available.
+        fn free_frames(&self) -> u64 {
+            self.capacity - self.in_use
+        }
+    }
 
     #[test]
     fn capacity_from_bytes_truncates() {

@@ -31,11 +31,9 @@ mod shootdown;
 mod tlb;
 mod walk;
 
-pub use frames::{
-    FrameAllocStats, FrameAllocator, FrameError, FrameId, ReferenceFrameAllocator, MAX_FRAME_ORDER,
-};
+pub use frames::{FrameAllocStats, FrameAllocator, FrameError, FrameId, MAX_FRAME_ORDER};
 pub use mshr::{Mshr, RegisterOutcome};
 pub use page_table::{PageTable, PteFlags};
 pub use shootdown::ShootdownDirectory;
-pub use tlb::{ReferenceTlb, Tlb, TlbLookup};
+pub use tlb::{Tlb, TlbLookup};
 pub use walk::RadixWalkModel;

@@ -21,9 +21,9 @@
 //!   counter, and a stale entry can never be observed as a hit even
 //!   before its slot is reclaimed.
 //!
-//! [`ReferenceTlb`] preserves the previous `VecDeque` implementation
-//! as an executable specification for differential tests and
-//! head-to-head microbenches.
+//! The crate's property tests keep the previous `VecDeque`
+//! implementation as an executable specification and check this one
+//! against it.
 
 use std::collections::HashMap;
 
@@ -419,88 +419,6 @@ impl Tlb {
     }
 }
 
-/// The previous `VecDeque`-backed TLB: O(capacity) on every operation,
-/// kept as the executable specification the O(1) [`Tlb`] is
-/// differential-tested (and benchmarked) against.
-#[derive(Clone, Debug)]
-pub struct ReferenceTlb {
-    /// Entries in LRU order: front = least recently used.
-    entries: std::collections::VecDeque<PageId>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl ReferenceTlb {
-    /// Creates an empty reference TLB holding at most `capacity`
-    /// translations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "TLB capacity must be non-zero");
-        ReferenceTlb {
-            entries: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Looks up `page`, updating recency on a hit.
-    pub fn lookup(&mut self, page: PageId) -> TlbLookup {
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            let hit = self.entries.remove(pos).expect("position exists");
-            self.entries.push_back(hit);
-            self.hits += 1;
-            TlbLookup::Hit
-        } else {
-            self.misses += 1;
-            TlbLookup::Miss
-        }
-    }
-
-    /// Installs a translation for `page`, evicting the LRU entry if
-    /// full; returns the evicted page, if any.
-    pub fn fill(&mut self, page: PageId) -> Option<PageId> {
-        let mut victim = None;
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.capacity {
-            victim = self.entries.pop_front();
-        }
-        self.entries.push_back(page);
-        victim
-    }
-
-    /// Removes the translation for `page` if present, returning whether
-    /// an entry was removed.
-    pub fn invalidate(&mut self, page: PageId) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            self.entries.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Current number of cached translations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if no translations are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Lifetime (hit, miss) counts.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,19 +512,6 @@ mod tests {
         tlb.invalidate(PageId::new(1));
         assert_eq!(tlb.hit_miss(), (1, 0), "invalidate keeps counters");
         tlb.lookup(PageId::new(1));
-        assert_eq!(tlb.hit_miss(), (1, 1));
-    }
-
-    #[test]
-    fn reference_tlb_matches_basic_flow() {
-        let mut tlb = ReferenceTlb::new(2);
-        assert_eq!(tlb.lookup(PageId::new(1)), TlbLookup::Miss);
-        assert_eq!(tlb.fill(PageId::new(1)), None);
-        assert_eq!(tlb.fill(PageId::new(2)), None);
-        assert_eq!(tlb.lookup(PageId::new(1)), TlbLookup::Hit);
-        assert_eq!(tlb.fill(PageId::new(3)), Some(PageId::new(2)));
-        assert!(tlb.invalidate(PageId::new(3)));
-        assert_eq!(tlb.len(), 1);
         assert_eq!(tlb.hit_miss(), (1, 1));
     }
 

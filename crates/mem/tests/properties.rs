@@ -4,13 +4,103 @@
 use std::collections::HashSet;
 
 use uvm_mem::{
-    FrameAllocator, Mshr, PageTable, ReferenceTlb, RegisterOutcome, ShootdownDirectory, Tlb,
-    TlbLookup,
+    FrameAllocator, Mshr, PageTable, RegisterOutcome, ShootdownDirectory, Tlb, TlbLookup,
 };
 use uvm_types::rng::{Rng, SmallRng};
 use uvm_types::PageId;
 
 const CASES: usize = 128;
+
+/// The previous `VecDeque`-backed TLB: O(capacity) on every operation,
+/// kept as the executable specification the O(1) [`Tlb`] is
+/// differential-tested against.
+#[derive(Clone, Debug)]
+struct ReferenceTlb {
+    /// Entries in LRU order: front = least recently used.
+    entries: std::collections::VecDeque<PageId>,
+    capacity: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl ReferenceTlb {
+    /// Creates an empty reference TLB holding at most `capacity`
+    /// translations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "TLB capacity must be non-zero");
+        ReferenceTlb {
+            entries: std::collections::VecDeque::with_capacity(capacity),
+            capacity,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Looks up `page`, updating recency on a hit.
+    fn lookup(&mut self, page: PageId) -> TlbLookup {
+        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
+            let hit = self.entries.remove(pos).expect("position exists");
+            self.entries.push_back(hit);
+            self.hits += 1;
+            TlbLookup::Hit
+        } else {
+            self.misses += 1;
+            TlbLookup::Miss
+        }
+    }
+
+    /// Installs a translation for `page`, evicting the LRU entry if
+    /// full; returns the evicted page, if any.
+    fn fill(&mut self, page: PageId) -> Option<PageId> {
+        let mut victim = None;
+        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
+            self.entries.remove(pos);
+        } else if self.entries.len() == self.capacity {
+            victim = self.entries.pop_front();
+        }
+        self.entries.push_back(page);
+        victim
+    }
+
+    /// Removes the translation for `page` if present, returning whether
+    /// an entry was removed.
+    fn invalidate(&mut self, page: PageId) -> bool {
+        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
+            self.entries.remove(pos);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Current number of cached translations.
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Lifetime (hit, miss) counts.
+    fn hit_miss(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+}
+
+/// The oracle itself, on a hand-checked sequence.
+#[test]
+fn reference_tlb_matches_basic_flow() {
+    let mut tlb = ReferenceTlb::new(2);
+    assert_eq!(tlb.lookup(PageId::new(1)), TlbLookup::Miss);
+    assert_eq!(tlb.fill(PageId::new(1)), None);
+    assert_eq!(tlb.fill(PageId::new(2)), None);
+    assert_eq!(tlb.lookup(PageId::new(1)), TlbLookup::Hit);
+    assert_eq!(tlb.fill(PageId::new(3)), Some(PageId::new(2)));
+    assert!(tlb.invalidate(PageId::new(3)));
+    assert_eq!(tlb.len(), 1);
+    assert_eq!(tlb.hit_miss(), (1, 1));
+}
 
 /// The page table's valid count always equals the number of distinct
 /// valid pages after an arbitrary operation sequence.

@@ -1,7 +1,7 @@
 //! Typed failures for the hardened experiment executor.
 //!
 //! A sweep of hundreds of deduplicated runs must not die because one
-//! run panics, hangs, or hits a rotten cache entry. The executor
+//! run panics or hits a rotten cache entry. The executor
 //! isolates each run and reports what went wrong as a [`RunError`];
 //! [`ExecutionReport`] carries the per-submission outcomes so callers
 //! can keep the completed siblings.
@@ -9,7 +9,6 @@
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::exec::RunKey;
 use crate::run::RunResult;
@@ -26,19 +25,6 @@ pub enum RunError {
         key: RunKey,
         /// The panic payload, if it was a string.
         message: String,
-        /// Attempts made (1 = no retry budget or first try fatal).
-        attempts: u32,
-    },
-    /// The run exceeded the executor's per-run wall-clock timeout.
-    TimedOut {
-        /// Workload name of the failed run.
-        name: String,
-        /// Dedup key of the failed run.
-        key: RunKey,
-        /// The configured per-run limit.
-        timeout: Duration,
-        /// Attempts made.
-        attempts: u32,
     },
     /// The simulation finished but a durability side-effect failed —
     /// trace export to a full or read-only disk, a checkpoint that
@@ -52,8 +38,6 @@ pub enum RunError {
         key: RunKey,
         /// The rendered [`SimError`](crate::run::SimError).
         message: String,
-        /// Attempts made.
-        attempts: u32,
     },
 }
 
@@ -61,27 +45,14 @@ impl RunError {
     /// Workload name of the failed run.
     pub fn name(&self) -> &str {
         match self {
-            RunError::Panicked { name, .. }
-            | RunError::TimedOut { name, .. }
-            | RunError::Failed { name, .. } => name,
+            RunError::Panicked { name, .. } | RunError::Failed { name, .. } => name,
         }
     }
 
     /// Dedup key of the failed run.
     pub fn key(&self) -> RunKey {
         match self {
-            RunError::Panicked { key, .. }
-            | RunError::TimedOut { key, .. }
-            | RunError::Failed { key, .. } => *key,
-        }
-    }
-
-    /// Attempts made before giving up.
-    pub fn attempts(&self) -> u32 {
-        match self {
-            RunError::Panicked { attempts, .. }
-            | RunError::TimedOut { attempts, .. }
-            | RunError::Failed { attempts, .. } => *attempts,
+            RunError::Panicked { key, .. } | RunError::Failed { key, .. } => *key,
         }
     }
 }
@@ -89,38 +60,12 @@ impl RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunError::Panicked {
-                name,
-                key,
-                message,
-                attempts,
-            } => write!(
-                f,
-                "run '{name}' ({}) panicked after {attempts} attempt(s): {message}",
-                key.to_hex()
-            ),
-            RunError::TimedOut {
-                name,
-                key,
-                timeout,
-                attempts,
-            } => write!(
-                f,
-                "run '{name}' ({}) exceeded the {:.1?} per-run timeout \
-                 after {attempts} attempt(s)",
-                key.to_hex(),
-                timeout
-            ),
-            RunError::Failed {
-                name,
-                key,
-                message,
-                attempts,
-            } => write!(
-                f,
-                "run '{name}' ({}) failed after {attempts} attempt(s): {message}",
-                key.to_hex()
-            ),
+            RunError::Panicked { name, key, message } => {
+                write!(f, "run '{name}' ({}) panicked: {message}", key.to_hex())
+            }
+            RunError::Failed { name, key, message } => {
+                write!(f, "run '{name}' ({}) failed: {message}", key.to_hex())
+            }
         }
     }
 }
@@ -165,22 +110,18 @@ mod tests {
             name: "hotspot".into(),
             key,
             message: "boom".into(),
-            attempts: 2,
         };
-        let t = RunError::TimedOut {
+        let e = RunError::Failed {
             name: "bfs".into(),
             key,
-            timeout: Duration::from_millis(250),
-            attempts: 1,
+            message: "audit violation".into(),
         };
         assert!(p.to_string().contains("hotspot"));
         assert!(p.to_string().contains("boom"));
-        assert!(p.to_string().contains("2 attempt"));
-        assert!(t.to_string().contains("bfs"));
-        assert!(t.to_string().contains("timeout"));
+        assert!(e.to_string().contains("bfs"));
+        assert!(e.to_string().contains("audit violation"));
         assert_eq!(p.name(), "hotspot");
-        assert_eq!(t.key(), key);
-        assert_eq!(t.attempts(), 1);
+        assert_eq!(e.key(), key);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! The executor is hardened against the failure modes of long sweeps:
 //!
 //! * a panicking run is caught at the run boundary and reported as a
-//!   typed [`RunError`] while its siblings complete;
-//! * an optional per-run wall-clock timeout abandons hung runs;
-//! * both failure kinds get a bounded retry budget;
+//!   typed [`RunError`] while its siblings complete (a run is a pure
+//!   function of its inputs, so it is never retried, and every
+//!   data-driven loop in the model has its own bound, so no run needs
+//!   a watchdog — see DESIGN.md §6);
 //! * spill entries carry a `uvmspill v3 crc=…` header and are
 //!   published atomically (temp file + rename), so a crash mid-write
 //!   or bit rot is detected, the entry quarantined as `*.corrupt`,
@@ -76,7 +77,7 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use uvm_core::{HugePageStats, PolicyRegistry};
 use uvm_types::codec::payload_checksum;
@@ -292,14 +293,6 @@ impl<'e, 'w> Plan<'e, 'w> {
         self.subs.is_empty()
     }
 
-    /// Number of *unique* run keys currently in the plan.
-    pub fn unique_runs(&self) -> usize {
-        let mut keys: Vec<RunKey> = self.subs.iter().map(|s| s.key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
-    }
-
     /// Executes the plan and returns one result per submission, in
     /// submission order. Duplicate keys are simulated once; results
     /// already memoized (or spilled to disk) by the executor are not
@@ -307,8 +300,8 @@ impl<'e, 'w> Plan<'e, 'w> {
     ///
     /// # Panics
     ///
-    /// Panics with an aggregated message if any run fails (panic or
-    /// timeout) after its retry budget. Use
+    /// Panics with an aggregated message if any run fails (a caught
+    /// panic or a typed simulation error). Use
     /// [`try_execute`](Self::try_execute) to keep the surviving
     /// results instead.
     pub fn execute(self) -> Vec<Arc<RunResult>> {
@@ -361,8 +354,6 @@ impl<'e, 'w> Plan<'e, 'w> {
 pub struct Executor {
     jobs: usize,
     spill_dir: Option<PathBuf>,
-    run_timeout: Option<std::time::Duration>,
-    run_retries: u32,
     prefix_forking: bool,
     journal: Option<Journal>,
     cache: Mutex<HashMap<RunKey, Arc<RunResult>>>,
@@ -386,8 +377,6 @@ impl Executor {
         Executor {
             jobs,
             spill_dir: None,
-            run_timeout: None,
-            run_retries: 0,
             prefix_forking: true,
             journal: None,
             cache: Mutex::new(HashMap::new()),
@@ -408,24 +397,6 @@ impl Executor {
     /// and recomputed. Delete the directory to clear the cache.
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets a per-run wall-clock timeout. Each run then simulates on
-    /// a watchdog thread; if it does not finish within `limit` it is
-    /// abandoned and reported as [`RunError::TimedOut`]. (The
-    /// abandoned thread still runs to completion in the background —
-    /// the simulator has no cancellation points — so timeouts trade
-    /// memory for liveness.)
-    pub fn with_run_timeout(mut self, limit: std::time::Duration) -> Self {
-        self.run_timeout = Some(limit);
-        self
-    }
-
-    /// Grants every run `retries` extra attempts after a panic or
-    /// timeout before it is reported as failed.
-    pub fn with_run_retries(mut self, retries: u32) -> Self {
-        self.run_retries = retries;
         self
     }
 
@@ -539,63 +510,22 @@ impl Executor {
         self.failures.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// One isolated attempt at a unit of simulation work: panics are
-    /// caught at this boundary and, when a timeout is configured, the
-    /// work runs on a watchdog thread so a hang cannot stall the pool.
-    fn isolated<T: Send + 'static>(
-        &self,
-        work: impl FnOnce() -> T + Send + 'static,
-    ) -> Result<T, Failure> {
-        let Some(limit) = self.run_timeout else {
-            return catch_unwind(AssertUnwindSafe(work))
-                .map_err(|payload| Failure::Panic(panic_message(payload)));
-        };
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(work)).map_err(panic_message);
-            let _ = tx.send(outcome);
-        });
-        match rx.recv_timeout(limit) {
-            Ok(Ok(value)) => Ok(value),
-            Ok(Err(message)) => Err(Failure::Panic(message)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(Failure::Timeout(limit)),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(Failure::Panic(
-                "watchdog thread died before sending a result".into(),
-            )),
-        }
-    }
-
     /// Runs one unit of simulation work — a cold run, a group's
-    /// warm-up prefix, or a forked tail — [`isolated`](Self::isolated)
-    /// up to `1 + run_retries` times, and returns the first success or
-    /// the last failure paired with the attempt count. `work` makes a
-    /// fresh `'static` closure per attempt (workload cloned, prefix
-    /// behind an `Arc`) that the watchdog thread can own. Typed
-    /// simulation failures (I/O, checkpoint, audit) share the retry
-    /// budget with panics and timeouts — a transient disk hiccup gets
-    /// the same second chance.
-    fn attempt<T, W>(&self, work: impl Fn() -> W) -> Result<T, (Failure, u32)>
-    where
-        T: Send + 'static,
-        W: FnOnce() -> Result<T, SimError> + Send + 'static,
-    {
-        let attempts = 1 + self.run_retries;
-        let mut last = None;
-        for n in 1..=attempts {
-            match self
-                .isolated(work())
-                .and_then(|res| res.map_err(|e| Failure::Sim(e.to_string())))
-            {
-                Ok(value) => return Ok(value),
-                Err(failure) => last = Some((failure, n)),
-            }
+    /// warm-up prefix, or a forked tail — with panics caught at this
+    /// boundary, so one bad run cannot take the worker pool down.
+    /// Typed simulation failures (I/O, checkpoint, audit) become
+    /// [`Failure::Sim`].
+    fn attempt<T>(work: impl FnOnce() -> Result<T, SimError>) -> Result<T, Failure> {
+        match catch_unwind(AssertUnwindSafe(work)) {
+            Ok(Ok(value)) => Ok(value),
+            Ok(Err(e)) => Err(Failure::Sim(e.to_string())),
+            Err(payload) => Err(Failure::Panic(panic_message(payload))),
         }
-        Err(last.expect("at least one attempt was made"))
     }
 
     /// Runs `f(0..len)` across the worker pool and collects the
     /// outcomes by index. `f` must not panic (simulation panics are
-    /// already caught inside [`Executor::isolated`]).
+    /// already caught inside [`Executor::attempt`]).
     fn parallel_map<T: Send>(&self, len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
@@ -776,7 +706,7 @@ impl Executor {
         }
         enum Done {
             Run(usize, Box<Result<RunResult, RunError>>),
-            Prefix(usize, Result<Arc<SweepPrefix>, (Failure, u32)>),
+            Prefix(usize, Result<Arc<SweepPrefix>, Failure>),
         }
         let jobs: Vec<Job> = cold
             .iter()
@@ -787,13 +717,8 @@ impl Executor {
         let phase_a = self.parallel_map(jobs.len(), |j| match jobs[j] {
             Job::Cold(i) => {
                 let sub = todo[i];
-                let outcome = self
-                    .attempt(|| {
-                        let workload = sub.workload.clone_box();
-                        let opts = sub.opts.clone();
-                        move || try_run_workload(workload.as_ref(), opts)
-                    })
-                    .map_err(|(failure, attempts)| failure.into_run_error(sub, attempts));
+                let outcome = Self::attempt(|| try_run_workload(sub.workload, sub.opts.clone()))
+                    .map_err(|failure| failure.into_run_error(sub));
                 if let Ok(result) = &outcome {
                     self.executed.fetch_add(1, Ordering::Relaxed);
                     self.publish(sub, result);
@@ -802,11 +727,8 @@ impl Executor {
             }
             Job::Prefix(g) => {
                 let sub = todo[groups[g][0]];
-                let outcome = self.attempt(|| {
-                    let workload = sub.workload.clone_box();
-                    let opts = sub.opts.clone();
-                    move || simulate_prefix(workload.as_ref(), &opts).map(Arc::new)
-                });
+                let outcome =
+                    Self::attempt(|| simulate_prefix(sub.workload, &sub.opts).map(Arc::new));
                 if outcome.is_ok() {
                     self.prefixes.fetch_add(1, Ordering::Relaxed);
                 }
@@ -823,9 +745,9 @@ impl Executor {
                 Done::Prefix(g, Ok(prefix)) => {
                     tails.extend(groups[g].iter().map(|&i| (i, Arc::clone(&prefix))));
                 }
-                Done::Prefix(g, Err((failure, attempts))) => {
+                Done::Prefix(g, Err(failure)) => {
                     for &i in &groups[g] {
-                        outcomes[i] = Some(Err(failure.clone().into_run_error(todo[i], attempts)));
+                        outcomes[i] = Some(Err(failure.clone().into_run_error(todo[i])));
                     }
                 }
             }
@@ -834,13 +756,8 @@ impl Executor {
         let phase_b = self.parallel_map(tails.len(), |j| {
             let (i, ref prefix) = tails[j];
             let sub = todo[i];
-            let outcome = self
-                .attempt(|| {
-                    let prefix = Arc::clone(prefix);
-                    let opts = sub.opts.clone();
-                    move || try_resume_run(&prefix, &opts)
-                })
-                .map_err(|(failure, attempts)| failure.into_run_error(sub, attempts));
+            let outcome = Self::attempt(|| try_resume_run(prefix, &sub.opts))
+                .map_err(|failure| failure.into_run_error(sub));
             if let Ok(result) = &outcome {
                 self.executed.fetch_add(1, Ordering::Relaxed);
                 self.publish(sub, result);
@@ -912,7 +829,6 @@ impl Executor {
 #[derive(Clone, Debug)]
 enum Failure {
     Panic(String),
-    Timeout(std::time::Duration),
     /// A typed [`SimError`](crate::run::SimError) — checkpoint I/O,
     /// trace export to a dead disk, or an invariant-audit violation —
     /// rendered to a string so it stays `Clone` for prefix fan-out.
@@ -920,26 +836,18 @@ enum Failure {
 }
 
 impl Failure {
-    fn into_run_error(self, sub: &Submission<'_>, attempts: u32) -> RunError {
+    fn into_run_error(self, sub: &Submission<'_>) -> RunError {
         let name = sub.workload.name().to_string();
         match self {
             Failure::Panic(message) => RunError::Panicked {
                 name,
                 key: sub.key,
                 message,
-                attempts,
-            },
-            Failure::Timeout(timeout) => RunError::TimedOut {
-                name,
-                key: sub.key,
-                timeout,
-                attempts,
             },
             Failure::Sim(message) => RunError::Failed {
                 name,
                 key: sub.key,
                 message,
-                attempts,
             },
         }
     }
@@ -1419,7 +1327,7 @@ mod tests {
     fn failed_prefix_reports_every_group_member() {
         use crate::run::Warmup;
 
-        #[derive(Clone, Debug)]
+        #[derive(Debug)]
         struct Exploding;
         impl Workload for Exploding {
             fn name(&self) -> &'static str {
@@ -1474,54 +1382,6 @@ mod tests {
                 .with_audit(true),
         );
         assert_eq!(plain, durable);
-    }
-
-    #[test]
-    fn hung_prefix_times_out_with_per_member_attribution() {
-        use crate::run::Warmup;
-
-        // A workload that hangs forever while building — the shared
-        // warm-up prefix never completes, so the watchdog must abandon
-        // it and attribute the timeout to every member of the group.
-        #[derive(Clone, Debug)]
-        struct Hung;
-        impl Workload for Hung {
-            fn name(&self) -> &'static str {
-                "hung"
-            }
-            fn build(
-                &self,
-                _malloc: &mut dyn FnMut(Bytes) -> uvm_types::VirtAddr,
-            ) -> Vec<uvm_gpu::KernelSpec> {
-                loop {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-            }
-        }
-
-        let exec = Executor::new(2).with_run_timeout(std::time::Duration::from_millis(200));
-        let mut plan = exec.plan();
-        for p in PrefetchPolicy::ALL {
-            plan.submit(
-                &Hung,
-                RunOptions::default()
-                    .with_prefetch(p)
-                    .with_warmup(Warmup::default()),
-            );
-        }
-        let report = plan.try_execute();
-        assert_eq!(report.failures.len(), PrefetchPolicy::ALL.len());
-        let mut keys: Vec<_> = report.failures.iter().map(|f| f.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), PrefetchPolicy::ALL.len());
-        for f in &report.failures {
-            assert_eq!(f.name(), "hung");
-            assert!(
-                matches!(f, RunError::TimedOut { .. }),
-                "expected a timeout, got: {f}"
-            );
-        }
     }
 
     #[test]
@@ -1623,7 +1483,6 @@ mod tests {
         for _ in 0..5 {
             plan.submit(&w, RunOptions::default());
         }
-        assert_eq!(plan.unique_runs(), 1);
         let results = plan.execute();
         assert_eq!(results.len(), 5);
         assert_eq!(exec.runs_executed(), 1);

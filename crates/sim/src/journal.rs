@@ -80,18 +80,19 @@ impl Journal {
     }
 
     /// Replays the journal into completed/interrupted sets. A missing
-    /// file is an empty history; lines that fail the checksum or the
-    /// record grammar (torn tails, bit rot) are counted and skipped.
+    /// file is an empty history; lines that are not UTF-8 or fail the
+    /// checksum or the record grammar (torn tails, bit rot) are counted
+    /// and skipped.
     pub fn replay(&self) -> JournalReplay {
         let mut replay = JournalReplay::default();
-        let Ok(text) = fs::read_to_string(&self.path) else {
+        let Ok(bytes) = fs::read(&self.path) else {
             return replay;
         };
-        for line in text.split('\n') {
+        for line in bytes.split(|&b| b == b'\n') {
             if line.is_empty() {
                 continue;
             }
-            match parse_line(line) {
+            match std::str::from_utf8(line).ok().and_then(parse_line) {
                 Some(Record::Submitted(key)) => {
                     replay.submitted.insert(key);
                 }
@@ -241,6 +242,22 @@ mod tests {
         assert_eq!(replay.torn_lines, 1);
         assert!(!replay.was_interrupted(key(3)));
         assert!(!replay.was_interrupted(key(4)));
+        let _ = fs::remove_dir_all(j.path().parent().unwrap());
+    }
+
+    #[test]
+    fn non_utf8_line_is_torn_and_history_survives() {
+        let j = temp_journal("nonutf8");
+        j.record_submitted(key(9), "srad").unwrap();
+        // A torn append can leave arbitrary bytes, not only a prefix
+        // of valid text.
+        let mut bytes = fs::read(j.path()).unwrap();
+        bytes.extend_from_slice(b"\xff\xfe\n");
+        fs::write(j.path(), bytes).unwrap();
+        let replay = j.replay();
+        assert_eq!(replay.interrupted_count(), 1);
+        assert!(replay.was_interrupted(key(9)));
+        assert_eq!(replay.torn_lines, 1);
         let _ = fs::remove_dir_all(j.path().parent().unwrap());
     }
 

@@ -56,15 +56,13 @@ use uvm_types::{Bytes, VirtAddr, PAGE_SIZE};
 ///
 /// `build` registers the benchmark's managed allocations through
 /// `malloc` (the simulation harness passes a closure over
-/// [`uvm_core::Gmmu::malloc_managed`]) and returns the sequence of
+/// `uvm_core::Gmmu::malloc_managed`) and returns the sequence of
 /// kernel launches to execute.
 ///
 /// Workloads are `Debug + Send + Sync` so the experiment executor can
 /// (a) derive a canonical identity for run deduplication and caching,
-/// and (b) simulate them from a worker pool. They are also clonable as
-/// trait objects (via [`WorkloadClone`]) so the executor can move an
-/// owned copy into a watchdog thread for timeout-isolated runs.
-pub trait Workload: std::fmt::Debug + Send + Sync + WorkloadClone {
+/// and (b) simulate them from a worker pool.
+pub trait Workload: std::fmt::Debug + Send + Sync {
     /// Benchmark name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
@@ -77,26 +75,6 @@ pub trait Workload: std::fmt::Debug + Send + Sync + WorkloadClone {
     /// rendering satisfies this for plain parameter structs.
     fn signature(&self) -> String {
         format!("{self:?}")
-    }
-}
-
-/// Object-safe cloning for boxed workloads. Blanket-implemented for
-/// every `Clone` workload; parameter structs get it for free from
-/// `#[derive(Clone)]`.
-pub trait WorkloadClone {
-    /// Clones `self` into a fresh boxed trait object.
-    fn clone_box(&self) -> Box<dyn Workload>;
-}
-
-impl<T: Workload + Clone + 'static> WorkloadClone for T {
-    fn clone_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn Workload> {
-    fn clone(&self) -> Self {
-        self.clone_box()
     }
 }
 
