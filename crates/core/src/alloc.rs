@@ -203,6 +203,13 @@ impl Allocations {
         self.allocs.iter().map(|a| a.requested).sum()
     }
 
+    /// One past the highest migratable page of any allocation: every
+    /// page the driver manages has a smaller index. Checkpoint decoders
+    /// of page-indexed tables are bounded by it.
+    pub fn page_limit(&self) -> u64 {
+        self.allocs.last().map_or(0, |a| a.end_page().index())
+    }
+
     /// Total rounded (migratable) bytes across allocations.
     pub fn total_rounded(&self) -> Bytes {
         self.allocs.iter().map(|a| a.rounded()).sum()

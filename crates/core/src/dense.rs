@@ -5,7 +5,15 @@
 //! so the page indices a simulation touches form a small dense range.
 //! That makes a plain `Vec` indexed by `PageId::index()` strictly
 //! better than a `HashMap<PageId, _>` for the per-access lookups:
-//! no hashing, no probing, one cache line per hit.
+//! no hashing, no probing, one cache line per hit. [`DenseKey`] extends
+//! the same layout to the evictors' recency lists
+//! ([`LruQueue`](crate::LruQueue), [`HierarchicalLru`](crate::HierarchicalLru)).
+//!
+//! Because each table grows to the highest id it holds, its decoder
+//! reads ids through the reader's page limit
+//! ([`ByteReader::get_page`](uvm_types::codec::ByteReader::get_page)),
+//! which the GMMU sets to its managed range on restore: a corrupt id
+//! is a typed error, never a huge allocation.
 //!
 //! # Examples
 //!
@@ -23,7 +31,64 @@
 //! assert!(set.contains(PageId::new(3)));
 //! ```
 
-use uvm_types::PageId;
+use uvm_types::codec::{ByteReader, CodecError};
+use uvm_types::{BasicBlockId, LargePageId, PageId};
+
+/// A key with a dense integer index: its entry's position in a table
+/// indexed by page, basic-block or large-page id.
+pub trait DenseKey: Copy + Eq {
+    /// The key's table index.
+    fn dense_index(self) -> usize;
+
+    /// Decodes a key written as its index with `put_u64`, rejecting one
+    /// outside the reader's managed range.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+}
+
+impl DenseKey for PageId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self.index() as usize
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.get_page()
+    }
+}
+
+impl DenseKey for BasicBlockId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self.index() as usize
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.get_basic_block()
+    }
+}
+
+impl DenseKey for LargePageId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self.index() as usize
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.get_large_page()
+    }
+}
+
+/// Plain integers index like pages, and decode under the page limit.
+impl DenseKey for u64 {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self as usize
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.get_page().map(PageId::index)
+    }
+}
 
 /// A `PageId → T` map backed by a dense `Vec<Option<T>>`.
 ///
@@ -118,17 +183,16 @@ impl<T: Copy> DensePageMap<T> {
     }
 
     /// Rebuilds a map from a [`save_state`](Self::save_state) image,
-    /// delegating value decoding to `get`.
+    /// delegating value decoding to `get`. A page at or past the
+    /// reader's page limit is a [`CodecError::OutOfRange`].
     pub fn load_state<'a>(
-        r: &mut uvm_types::codec::ByteReader<'a>,
-        mut get: impl FnMut(
-            &mut uvm_types::codec::ByteReader<'a>,
-        ) -> Result<T, uvm_types::codec::CodecError>,
-    ) -> Result<Self, uvm_types::codec::CodecError> {
+        r: &mut ByteReader<'a>,
+        mut get: impl FnMut(&mut ByteReader<'a>) -> Result<T, CodecError>,
+    ) -> Result<Self, CodecError> {
         let n = r.get_usize()?;
         let mut map = DensePageMap::new();
         for _ in 0..n {
-            let page = PageId::new(r.get_u64()?);
+            let page = r.get_page()?;
             let value = get(r)?;
             map.insert(page, value);
         }
@@ -211,14 +275,14 @@ impl DensePageSet {
         }
     }
 
-    /// Rebuilds a set from a [`save_state`](Self::save_state) image.
-    pub fn load_state(
-        r: &mut uvm_types::codec::ByteReader<'_>,
-    ) -> Result<Self, uvm_types::codec::CodecError> {
+    /// Rebuilds a set from a [`save_state`](Self::save_state) image. A
+    /// page at or past the reader's page limit is a
+    /// [`CodecError::OutOfRange`].
+    pub fn load_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n = r.get_usize()?;
         let mut set = DensePageSet::new();
         for _ in 0..n {
-            set.insert(PageId::new(r.get_u64()?));
+            set.insert(r.get_page()?);
         }
         Ok(set)
     }
@@ -313,5 +377,41 @@ mod tests {
             }
             assert_eq!(s.len(), model.len());
         }
+    }
+
+    #[test]
+    fn set_decoder_rejects_a_page_past_the_limit() {
+        use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
+        let mut w = ByteWriter::new();
+        w.put_usize(1);
+        w.put_u64(1 << 60);
+        let bytes = w.into_bytes();
+        let err = DensePageSet::load_state(&mut ByteReader::new(&bytes).with_page_limit(512))
+            .unwrap_err();
+        assert!(
+            matches!(err, CodecError::OutOfRange { value, limit: 512, .. } if value == 1 << 60),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn map_decoder_rejects_a_page_past_the_limit() {
+        use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
+        let mut m: DensePageMap<u64> = DensePageMap::new();
+        m.insert(PageId::new(511), 7);
+        let mut w = ByteWriter::new();
+        m.save_state(&mut w, |w, v| w.put_u64(v));
+        let bytes = w.into_bytes();
+        let load = |limit| {
+            DensePageMap::<u64>::load_state(
+                &mut ByteReader::new(&bytes).with_page_limit(limit),
+                |r| r.get_u64(),
+            )
+        };
+        assert_eq!(load(512).unwrap().get(PageId::new(511)), Some(7));
+        assert!(matches!(
+            load(511),
+            Err(CodecError::OutOfRange { value: 511, .. })
+        ));
     }
 }

@@ -80,14 +80,14 @@ impl Evictor for LruPageEvictor {
     }
 
     fn save_state(&self, w: &mut uvm_types::codec::ByteWriter) {
-        self.lru.save_state(w, |w, p| w.put_u64(p.index()));
+        self.lru.save_state(w);
     }
 
     fn load_state(
         &mut self,
         r: &mut uvm_types::codec::ByteReader<'_>,
     ) -> Result<(), uvm_types::codec::CodecError> {
-        self.lru = LruQueue::load_state(r, |r| Ok(PageId::new(r.get_u64()?)))?;
+        self.lru = LruQueue::load_state(r)?;
         Ok(())
     }
 }

@@ -1273,18 +1273,22 @@ impl Gmmu {
                 })?;
         }
         self.allocs = Allocations::load_state(r)?;
+        // Every page-indexed table decoded from here on (this driver's,
+        // its evictor's, and the engine's TLBs after it) must lie inside
+        // the restored managed range.
+        r.set_page_limit(self.allocs.page_limit());
         self.page_table = PageTable::load_state(r)?;
         self.frames = FrameAllocator::load_state(r)?;
         self.frame_of = DensePageMap::load_state(r, |r| Ok(FrameId::from_index(r.get_u64()?)))?;
         {
             let bytes = r.get_bytes()?;
-            let mut sub = uvm_types::codec::ByteReader::new(bytes);
+            let mut sub = uvm_types::codec::ByteReader::new(bytes).with_page_limit(r.page_limit());
             self.prefetcher.load_state(&mut sub)?;
             sub.finish()?;
         }
         {
             let bytes = r.get_bytes()?;
-            let mut sub = uvm_types::codec::ByteReader::new(bytes);
+            let mut sub = uvm_types::codec::ByteReader::new(bytes).with_page_limit(r.page_limit());
             self.evictor.load_state(&mut sub)?;
             sub.finish()?;
         }
@@ -1353,7 +1357,7 @@ impl Gmmu {
         }
         self.huge_enabled = r.get_bool()?;
         self.fault_trace = if r.get_bool()? {
-            let n = r.get_usize()?;
+            let n = r.get_count()?;
             let mut trace = Vec::with_capacity(n);
             for _ in 0..n {
                 let t = Cycle::new(r.get_u64()?);
@@ -2597,6 +2601,38 @@ mod tests {
         restored.save_state(&mut w2);
         assert_eq!(image, w2.into_bytes(), "restored driver diverges");
         restored
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_fault_trace_count_past_the_input() {
+        let cfg = UvmConfig::default();
+        let mut g = Gmmu::new(cfg.clone());
+        g.malloc_managed(Bytes::mib(2));
+        g.enable_fault_trace();
+        let mut w = uvm_types::codec::ByteWriter::new();
+        g.save_state(&mut w);
+        let image = w.into_bytes();
+        let mut stats = uvm_types::codec::ByteWriter::new();
+        g.stats().save_state(&mut stats);
+        // The (empty) fault trace sits just before the stats: tag 1,
+        // count 0. Claim 2^60 entries instead.
+        let at = image.len() - stats.len() - 1;
+        assert_eq!(image[at - 1..=at], [1, 0]);
+        let mut huge = uvm_types::codec::ByteWriter::new();
+        huge.put_u64(1 << 60);
+        let crafted = [&image[..at], huge.as_bytes(), &image[at + 1..]].concat();
+        let err = Gmmu::new(cfg)
+            .load_state(&mut uvm_types::codec::ByteReader::new(&crafted))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::checkpoint::CheckpointError::Codec(
+                    uvm_types::codec::CodecError::BadLength { .. }
+                )
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! candidates are therefore *basic blocks*: the LRU block of the LRU
 //! large page.
 
-use std::collections::HashMap;
-
-use uvm_types::hash::FxBuildHasher;
+use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
 use uvm_types::{BasicBlockId, LargePageId, PageId};
 
 use crate::lru::LruQueue;
@@ -25,6 +23,11 @@ use crate::lru::LruQueue;
 /// [`on_invalidate_group`](Self::on_invalidate_group)). The group forms
 /// do one touch and one count update per basic-block run instead of
 /// per page, and leave exactly the state of the per-page loop.
+///
+/// Every table is dense, indexed by large-page or basic-block id and
+/// grown to the highest id held, like the GMMU's
+/// [`DensePageMap`](crate::DensePageMap): the per-access
+/// [`on_access`](Self::on_access) does no hashing.
 ///
 /// # Examples
 ///
@@ -43,17 +46,29 @@ use crate::lru::LruQueue;
 pub struct HierarchicalLru {
     /// Large pages, LRU-ordered by chunk access time.
     large_pages: LruQueue<LargePageId>,
-    /// Per large page: its resident basic blocks, LRU-ordered.
-    blocks: HashMap<LargePageId, LruQueue<BasicBlockId>, FxBuildHasher>,
-    /// Resident pages per basic block.
-    pages_per_block: HashMap<BasicBlockId, u32, FxBuildHasher>,
-    /// Resident pages per large page, maintained incrementally so the
-    /// candidate scans can skip a whole large page in O(1) instead of
-    /// re-summing its blocks (the TBN-family policies call
+    /// Per large page index: its resident basic blocks, LRU-ordered,
+    /// keyed by [`BasicBlockId::offset_in_large_page`] so each queue's
+    /// own index stays 32 entries long. Empty for an untracked large
+    /// page.
+    blocks: Vec<LruQueue<u64>>,
+    /// Resident pages per basic block index; 0 for an untracked block.
+    pages_per_block: Vec<u32>,
+    /// Resident pages per large page index, maintained incrementally so
+    /// the candidate scans can skip a whole large page in O(1) instead
+    /// of re-summing its blocks (the TBN-family policies call
     /// [`candidate`](Self::candidate) on every eviction).
-    lp_pages: HashMap<LargePageId, u64, FxBuildHasher>,
+    lp_pages: Vec<u64>,
     /// Total resident pages tracked.
     total_pages: u64,
+}
+
+/// Grows `table` to cover `i` and returns its slot.
+fn slot_mut<T: Default>(table: &mut Vec<T>, i: u64) -> &mut T {
+    let i = i as usize;
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
 }
 
 impl HierarchicalLru {
@@ -85,9 +100,9 @@ impl HierarchicalLru {
     fn validate_run(&mut self, bb: BasicBlockId, n: u32) {
         let lp = bb.large_page();
         self.large_pages.touch(lp);
-        self.blocks.entry(lp).or_default().touch(bb);
-        *self.pages_per_block.entry(bb).or_insert(0) += n;
-        *self.lp_pages.entry(lp).or_insert(0) += u64::from(n);
+        slot_mut(&mut self.blocks, lp.index()).touch(bb.offset_in_large_page());
+        *slot_mut(&mut self.pages_per_block, bb.index()) += n;
+        *slot_mut(&mut self.lp_pages, lp.index()) += u64::from(n);
         self.total_pages += u64::from(n);
     }
 
@@ -101,12 +116,12 @@ impl HierarchicalLru {
     /// [`candidate`](Self::candidate) relies on.
     pub fn on_access(&mut self, page: PageId) {
         let bb = page.basic_block();
-        if !self.pages_per_block.contains_key(&bb) {
+        if self.block_pages(bb) == 0 {
             return;
         }
         let lp = page.large_page();
         self.large_pages.touch(lp);
-        self.blocks.entry(lp).or_default().touch(bb);
+        slot_mut(&mut self.blocks, lp.index()).touch(bb.offset_in_large_page());
     }
 
     /// Removes one page of `block` from the accounting (the page was
@@ -129,27 +144,19 @@ impl HierarchicalLru {
     fn invalidate_run(&mut self, bb: BasicBlockId, n: u32) {
         let count = self
             .pages_per_block
-            .get_mut(&bb)
+            .get_mut(bb.index() as usize)
             .filter(|c| **c >= n)
             .expect("invalidate of untracked page");
         *count -= n;
+        let drained = *count == 0;
         self.total_pages -= u64::from(n);
-        let lp = bb.large_page();
-        let lp_count = self
-            .lp_pages
-            .get_mut(&lp)
-            .expect("invalidate of untracked large page");
-        *lp_count -= u64::from(n);
-        if *lp_count == 0 {
-            self.lp_pages.remove(&lp);
-        }
-        if *count == 0 {
-            self.pages_per_block.remove(&bb);
-            if let Some(q) = self.blocks.get_mut(&lp) {
-                q.remove(&bb);
+        let lp = bb.large_page().index() as usize;
+        self.lp_pages[lp] -= u64::from(n);
+        if drained {
+            if let Some(q) = self.blocks.get_mut(lp) {
+                q.remove(&bb.offset_in_large_page());
                 if q.is_empty() {
-                    self.blocks.remove(&lp);
-                    self.large_pages.remove(&lp);
+                    self.large_pages.remove(&bb.large_page());
                 }
             }
         }
@@ -161,8 +168,17 @@ impl HierarchicalLru {
     }
 
     /// Resident pages of `block`.
+    #[inline]
     pub fn block_pages(&self, block: BasicBlockId) -> u32 {
-        self.pages_per_block.get(&block).copied().unwrap_or(0)
+        self.pages_per_block
+            .get(block.index() as usize)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Resident pages of `lp`.
+    fn lp_total(&self, lp: LargePageId) -> u64 {
+        self.lp_pages.get(lp.index() as usize).copied().unwrap_or(0)
     }
 
     /// Picks the eviction-candidate basic block: the least-recently
@@ -175,22 +191,19 @@ impl HierarchicalLru {
         mut eligible: impl FnMut(BasicBlockId) -> bool,
     ) -> Option<BasicBlockId> {
         let mut skipped = 0u64;
-        for lp in self.large_pages.iter() {
-            let Some(blocks) = self.blocks.get(lp) else {
-                continue;
-            };
+        for &lp in self.large_pages.iter() {
             // Whole-large-page skip: if even the last block of this
             // large page falls inside the reservation, no block in it
             // can be a candidate (every resident block holds >= 1 page,
             // so the per-block walk below would skip each one). Exact,
             // because the per-block walk only tests `eligible` once
             // `skipped` reaches `reserve_pages`.
-            let lp_total = self.lp_pages.get(lp).copied().unwrap_or(0);
+            let lp_total = self.lp_total(lp);
             if skipped + lp_total <= reserve_pages {
                 skipped += lp_total;
                 continue;
             }
-            for &bb in blocks.iter() {
+            for bb in self.blocks_of(lp) {
                 let pages = u64::from(self.block_pages(bb));
                 if skipped < reserve_pages {
                     skipped += pages;
@@ -213,7 +226,7 @@ impl HierarchicalLru {
     ) -> Option<LargePageId> {
         let mut skipped = 0u64;
         for &lp in self.large_pages.iter() {
-            let pages = self.lp_pages.get(&lp).copied().unwrap_or(0);
+            let pages = self.lp_total(lp);
             if skipped < reserve_pages {
                 skipped += pages;
                 continue;
@@ -227,63 +240,75 @@ impl HierarchicalLru {
 
     /// Resident basic blocks of `lp` in LRU order.
     pub fn blocks_of(&self, lp: LargePageId) -> impl Iterator<Item = BasicBlockId> + '_ {
+        let first = lp.first_basic_block();
         self.blocks
-            .get(&lp)
+            .get(lp.index() as usize)
             .into_iter()
-            .flat_map(|q| q.iter().copied())
+            .flat_map(move |q| q.iter().map(move |&off| first.add(off)))
     }
 
     /// Serializes the hierarchy for a checkpoint: the large-page queue
     /// in LRU→MRU order, each large page's block queue in LRU→MRU
-    /// order, and the per-block page counts (sorted, for a canonical
-    /// encoding).
-    pub fn save_state(&self, w: &mut uvm_types::codec::ByteWriter) {
+    /// order, and the per-block page counts (ascending block order, for
+    /// a canonical encoding).
+    pub fn save_state(&self, w: &mut ByteWriter) {
         w.put_usize(self.large_pages.len());
         for &lp in self.large_pages.iter() {
             w.put_u64(lp.index());
-            let blocks = self.blocks.get(&lp);
-            w.put_usize(blocks.map_or(0, |q| q.len()));
-            if let Some(q) = blocks {
-                for &bb in q.iter() {
-                    w.put_u64(bb.index());
-                }
+            w.put_usize(self.blocks_of(lp).count());
+            for bb in self.blocks_of(lp) {
+                w.put_u64(bb.index());
             }
         }
-        let mut counts: Vec<(BasicBlockId, u32)> =
-            self.pages_per_block.iter().map(|(&b, &c)| (b, c)).collect();
-        counts.sort_unstable_by_key(|(b, _)| *b);
-        w.put_usize(counts.len());
-        for (bb, count) in counts {
-            w.put_u64(bb.index());
+        let counts = self
+            .pages_per_block
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0);
+        w.put_usize(counts.clone().count());
+        for (bb, &count) in counts {
+            w.put_u64(bb as u64);
             w.put_u32(count);
         }
         w.put_u64(self.total_pages);
     }
 
     /// Rebuilds a hierarchy from a [`save_state`](Self::save_state)
-    /// image.
-    pub fn load_state(
-        r: &mut uvm_types::codec::ByteReader<'_>,
-    ) -> Result<Self, uvm_types::codec::CodecError> {
+    /// image. A large page or block outside the reader's managed range
+    /// is a [`CodecError::OutOfRange`]; a block filed under another
+    /// large page, or a zero page count, is a [`CodecError::BadTag`].
+    pub fn load_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let mut h = HierarchicalLru::new();
         let lps = r.get_usize()?;
         for _ in 0..lps {
-            let lp = LargePageId::new(r.get_u64()?);
+            let lp = r.get_large_page()?;
             h.large_pages.touch(lp);
             let nb = r.get_usize()?;
-            let q = h.blocks.entry(lp).or_default();
             for _ in 0..nb {
-                q.touch(BasicBlockId::new(r.get_u64()?));
+                let bb = r.get_basic_block()?;
+                if bb.large_page() != lp {
+                    return Err(CodecError::BadTag {
+                        what: "block outside its large page",
+                        value: bb.index(),
+                    });
+                }
+                slot_mut(&mut h.blocks, lp.index()).touch(bb.offset_in_large_page());
             }
         }
         let nc = r.get_usize()?;
         for _ in 0..nc {
-            let bb = BasicBlockId::new(r.get_u64()?);
+            let bb = r.get_basic_block()?;
             let count = r.get_u32()?;
-            h.pages_per_block.insert(bb, count);
+            if count == 0 {
+                return Err(CodecError::BadTag {
+                    what: "empty block page count",
+                    value: bb.index(),
+                });
+            }
+            *slot_mut(&mut h.pages_per_block, bb.index()) = count;
             // `lp_pages` is derived data, rebuilt here rather than
             // serialized so the checkpoint byte format is unchanged.
-            *h.lp_pages.entry(bb.large_page()).or_insert(0) += u64::from(count);
+            *slot_mut(&mut h.lp_pages, bb.large_page().index()) += u64::from(count);
         }
         h.total_pages = r.get_u64()?;
         Ok(h)
@@ -437,11 +462,8 @@ mod tests {
     /// either scan returns.
     fn naive_candidate(h: &HierarchicalLru, reserve_pages: u64) -> Option<BasicBlockId> {
         let mut skipped = 0u64;
-        for lp in h.large_pages.iter() {
-            let Some(blocks) = h.blocks.get(lp) else {
-                continue;
-            };
-            for &bb in blocks.iter() {
+        for &lp in h.large_pages.iter() {
+            for bb in h.blocks_of(lp) {
                 let pages = u64::from(h.block_pages(bb));
                 if skipped < reserve_pages {
                     skipped += pages;
@@ -456,11 +478,7 @@ mod tests {
     fn naive_candidate_large_page(h: &HierarchicalLru, reserve_pages: u64) -> Option<LargePageId> {
         let mut skipped = 0u64;
         for &lp in h.large_pages.iter() {
-            let pages: u64 = h
-                .blocks
-                .get(&lp)
-                .map(|q| q.iter().map(|&b| u64::from(h.block_pages(b))).sum())
-                .unwrap_or(0);
+            let pages: u64 = h.blocks_of(lp).map(|b| u64::from(h.block_pages(b))).sum();
             if skipped < reserve_pages {
                 skipped += pages;
                 continue;
@@ -536,8 +554,10 @@ mod tests {
         let mut w = uvm_types::codec::ByteWriter::new();
         h.save_state(&mut w);
         let bytes = w.into_bytes();
-        let restored =
-            HierarchicalLru::load_state(&mut uvm_types::codec::ByteReader::new(&bytes)).unwrap();
+        let restored = HierarchicalLru::load_state(
+            &mut uvm_types::codec::ByteReader::new(&bytes).with_page_limit(1024),
+        )
+        .unwrap();
         for reserve in [0, 32, 64, 96, 128] {
             assert_eq!(
                 restored.candidate(reserve, |_| true),

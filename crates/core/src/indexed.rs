@@ -156,14 +156,16 @@ impl IndexedPageSet {
     /// Rebuilds a set from a [`save_state`](Self::save_state) image by
     /// replaying inserts in the recorded order (insert appends, so the
     /// items vector — and with it the sampling order — is reproduced
-    /// exactly, and the position table and bitmap follow).
+    /// exactly, and the position table and bitmap follow). A page at or
+    /// past the reader's page limit is a
+    /// [`CodecError::OutOfRange`](uvm_types::codec::CodecError::OutOfRange).
     pub fn load_state(
         r: &mut uvm_types::codec::ByteReader<'_>,
     ) -> Result<Self, uvm_types::codec::CodecError> {
         let n = r.get_usize()?;
         let mut set = IndexedPageSet::new();
         for _ in 0..n {
-            let page = PageId::new(r.get_u64()?);
+            let page = r.get_page()?;
             if !set.insert(page) {
                 return Err(uvm_types::codec::CodecError::BadTag {
                     what: "duplicate page in indexed set",

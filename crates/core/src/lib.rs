@@ -80,7 +80,7 @@ pub use checkpoint::{
     read_checkpoint, write_checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use config::UvmConfig;
-pub use dense::{DensePageMap, DensePageSet};
+pub use dense::{DenseKey, DensePageMap, DensePageSet};
 pub use evict::{Evictor, MosaicEvictor};
 pub use fault::{FaultPlan, ParseFaultProfileError, READ_CHANNEL_TAG, WRITE_CHANNEL_TAG};
 pub use gmmu::AuditError;

@@ -230,7 +230,7 @@ impl Prefetcher for MarkovPrefetcher {
         self.table.clear();
         let contexts = r.get_usize()?;
         for _ in 0..contexts {
-            let len = r.get_usize()?;
+            let len = r.get_count()?;
             let mut context = Vec::with_capacity(len);
             for _ in 0..len {
                 context.push(r.get_i64()?);
@@ -422,5 +422,19 @@ mod tests {
         assert!(matches!(err, PolicyError::BadParam { .. }), "{err:?}");
         let err = MarkovPrefetcher::from_spec(&"markov:depth=0".parse().unwrap()).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn load_state_rejects_a_context_length_past_the_input() {
+        use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
+        let mut w = ByteWriter::new();
+        w.put_usize(0); // history
+        w.put_bool(false); // last fault
+        w.put_usize(1); // one context ...
+        w.put_u64(1 << 62); // ... claiming 2^62 deltas
+        let bytes = w.into_bytes();
+        let mut m = MarkovPrefetcher::with_params(1, 16, 4);
+        let err = m.load_state(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, CodecError::BadLength { .. }), "{err}");
     }
 }

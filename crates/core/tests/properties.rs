@@ -117,16 +117,29 @@ fn prefetch_plan_is_a_fixpoint() {
     }
 }
 
-/// LruQueue behaves exactly like a reference model.
+/// LruQueue behaves exactly like a reference model. The key range
+/// grows mid-run, so the dense index table grows while low keys filled
+/// before the growth are removed and reinserted after it; each case
+/// ends with a save→load→save round trip that must give identical
+/// bytes.
 #[test]
 fn lru_queue_matches_reference_model() {
+    use uvm_types::codec::{ByteReader, ByteWriter};
     let mut rng = SmallRng::seed_from_u64(0xc0e4);
     for _ in 0..CASES {
         let mut q: LruQueue<u64> = LruQueue::new();
         let mut model: Vec<u64> = Vec::new(); // front = LRU
         let n = rng.gen_range(0usize..200);
-        for _ in 0..n {
-            let key = rng.gen_range(0u64..32);
+        let mut span = 32u64;
+        for step in 0..n {
+            if step % 50 == 49 {
+                span *= rng.gen_range(2u64..32);
+            }
+            let key = if rng.gen_bool(0.5) {
+                rng.gen_range(0u64..32)
+            } else {
+                rng.gen_range(0..span)
+            };
             match rng.gen_range(0u32..3) {
                 0 => {
                     q.touch(key);
@@ -150,6 +163,187 @@ fn lru_queue_matches_reference_model() {
             let order: Vec<u64> = q.iter().copied().collect();
             assert_eq!(&order, &model);
         }
+        let mut w = ByteWriter::new();
+        q.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes).with_page_limit(span);
+        let restored: LruQueue<u64> = LruQueue::load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(restored.iter().copied().collect::<Vec<_>>(), model);
+        let mut w2 = ByteWriter::new();
+        restored.save_state(&mut w2);
+        assert_eq!(bytes, w2.into_bytes(), "LruQueue state round trip");
+    }
+}
+
+/// A naive model of [`HierarchicalLru`]: large pages and, per large
+/// page, basic blocks in plain recency vectors (front = LRU), and page
+/// counts per block in a sorted map.
+#[derive(Default)]
+struct ReferenceHier {
+    large_pages: Vec<u64>,
+    blocks: std::collections::BTreeMap<u64, Vec<u64>>,
+    counts: std::collections::BTreeMap<u64, u32>,
+}
+
+impl ReferenceHier {
+    fn touch(list: &mut Vec<u64>, key: u64) {
+        list.retain(|&k| k != key);
+        list.push(key);
+    }
+
+    fn validate(&mut self, page: PageId) {
+        let (bb, lp) = (page.basic_block().index(), page.large_page().index());
+        Self::touch(&mut self.large_pages, lp);
+        Self::touch(self.blocks.entry(lp).or_default(), bb);
+        *self.counts.entry(bb).or_default() += 1;
+    }
+
+    fn access(&mut self, page: PageId) {
+        let (bb, lp) = (page.basic_block().index(), page.large_page().index());
+        if self.counts.contains_key(&bb) {
+            Self::touch(&mut self.large_pages, lp);
+            Self::touch(self.blocks.get_mut(&lp).unwrap(), bb);
+        }
+    }
+
+    fn invalidate(&mut self, page: PageId) {
+        let (bb, lp) = (page.basic_block().index(), page.large_page().index());
+        let count = self.counts.get_mut(&bb).unwrap();
+        *count -= 1;
+        if *count == 0 {
+            self.counts.remove(&bb);
+            let blocks = self.blocks.get_mut(&lp).unwrap();
+            blocks.retain(|&b| b != bb);
+            if blocks.is_empty() {
+                self.blocks.remove(&lp);
+                self.large_pages.retain(|&l| l != lp);
+            }
+        }
+    }
+
+    /// The LRU block of the LRU large page past `reserve` pages.
+    fn candidate(&self, reserve: u64) -> Option<BasicBlockId> {
+        let mut skipped = 0u64;
+        for lp in &self.large_pages {
+            for &bb in &self.blocks[lp] {
+                if skipped < reserve {
+                    skipped += u64::from(self.counts[&bb]);
+                    continue;
+                }
+                return Some(BasicBlockId::new(bb));
+            }
+        }
+        None
+    }
+}
+
+/// [`HierarchicalLru`] matches [`ReferenceHier`] — block order per
+/// large page, candidate at several reservation depths, page counts —
+/// while page ids jump upward mid-run (its dense tables grow) and pages
+/// validated before a growth drain and return after it. Validation and
+/// invalidation alternate between the per-page and group forms. Each
+/// case ends with a save→load→save round trip that must give identical
+/// bytes.
+#[test]
+fn hier_lru_matches_reference_model() {
+    use uvm_types::codec::{ByteReader, ByteWriter};
+    let mut rng = SmallRng::seed_from_u64(0xc0e6);
+    for _ in 0..CASES / 4 {
+        let mut h = HierarchicalLru::new();
+        let mut model = ReferenceHier::default();
+        let mut resident: Vec<u64> = Vec::new();
+        let mut span = 64u64;
+        for step in 0..300 {
+            if step % 75 == 74 {
+                span *= rng.gen_range(4u64..40);
+            }
+            let base = if rng.gen_bool(0.5) {
+                rng.gen_range(0u64..64)
+            } else {
+                rng.gen_range(0..span)
+            };
+            match rng.gen_range(0u32..4) {
+                0 => {
+                    // A transfer group: a run of absent pages inside one
+                    // basic block, in ascending order.
+                    let first = base - base % PAGES_PER_BASIC_BLOCK;
+                    let group: Vec<PageId> = (base..first + PAGES_PER_BASIC_BLOCK)
+                        .take(rng.gen_range(1usize..6))
+                        .filter(|p| !resident.contains(p))
+                        .map(PageId::new)
+                        .collect();
+                    if rng.gen_bool(0.5) {
+                        h.on_validate_group(&group);
+                    } else {
+                        group.iter().for_each(|&p| h.on_validate(p));
+                    }
+                    for &p in &group {
+                        model.validate(p);
+                        resident.push(p.index());
+                    }
+                }
+                1 => {
+                    if let Some(&p) = resident.get(base as usize % resident.len().max(1)) {
+                        h.on_access(PageId::new(p));
+                        model.access(PageId::new(p));
+                    }
+                }
+                2 => {
+                    // Any page: an access in an untracked basic block
+                    // is ignored.
+                    h.on_access(PageId::new(base));
+                    model.access(PageId::new(base));
+                }
+                _ => {
+                    // Drain a resident page's whole basic block.
+                    if let Some(&p) = resident.get(base as usize % resident.len().max(1)) {
+                        let bb = PageId::new(p).basic_block();
+                        let mut drained: Vec<u64> = resident
+                            .iter()
+                            .copied()
+                            .filter(|&q| PageId::new(q).basic_block() == bb)
+                            .collect();
+                        drained.sort_unstable();
+                        resident.retain(|q| !drained.contains(q));
+                        let pages: Vec<PageId> = drained.into_iter().map(PageId::new).collect();
+                        if rng.gen_bool(0.5) {
+                            h.on_invalidate_group(&pages);
+                        } else {
+                            pages.iter().for_each(|&p| h.on_invalidate_page(p));
+                        }
+                        pages.iter().for_each(|&p| model.invalidate(p));
+                    }
+                }
+            }
+            assert_eq!(h.total_pages(), resident.len() as u64, "step {step}");
+            for (&lp, blocks) in &model.blocks {
+                let got: Vec<u64> = h
+                    .blocks_of(uvm_types::LargePageId::new(lp))
+                    .map(|b| b.index())
+                    .collect();
+                assert_eq!(&got, blocks, "blocks of large page {lp} at step {step}");
+                for &bb in blocks {
+                    assert_eq!(h.block_pages(BasicBlockId::new(bb)), model.counts[&bb]);
+                }
+            }
+            for reserve in [0, 1, 16, 40, h.total_pages()] {
+                assert_eq!(
+                    h.candidate(reserve, |_| true),
+                    model.candidate(reserve),
+                    "candidate at reserve {reserve}, step {step}"
+                );
+            }
+        }
+        let mut w = ByteWriter::new();
+        h.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes).with_page_limit(span);
+        let restored = HierarchicalLru::load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut w2 = ByteWriter::new();
+        restored.save_state(&mut w2);
+        assert_eq!(bytes, w2.into_bytes(), "HierarchicalLru state round trip");
     }
 }
 

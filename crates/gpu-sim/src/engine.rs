@@ -3,7 +3,8 @@
 //! The per-event hot path is allocation-free and O(1) per step: warp
 //! events flow through a calendar [`EventQueue`], access streams are
 //! pre-compiled into an engine-owned arena walked by cursor, per-SM
-//! TLB operations are hash-indexed, and eviction shootdowns consult a
+//! TLB operations index a dense page → slot table (no hashing), and
+//! eviction shootdowns consult a
 //! [`ShootdownDirectory`] so only the TLBs actually holding a page are
 //! touched. See DESIGN.md §7 for the design, its exactness argument,
 //! and the same-cycle ordering contract the schedule rests on.
@@ -518,7 +519,7 @@ impl Engine {
             self.walker = Some(RadixWalkModel::load_state(r)?);
         }
         self.trace = if r.get_bool()? {
-            let n = r.get_usize()?;
+            let n = r.get_count()?;
             let mut trace = Vec::with_capacity(n);
             for _ in 0..n {
                 trace.push(TraceEvent {
@@ -968,6 +969,62 @@ mod tests {
         assert_eq!(t, t_ref, "resume diverged from the uninterrupted run");
         assert_eq!(resumed.gmmu().stats(), reference.gmmu().stats());
         assert!(!resumed.gmmu().stats().fault_injection.is_clean());
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_trace_count_past_the_input() {
+        let (mut e, base) = engine_with(UvmConfig::default(), Bytes::mib(1));
+        e.enable_trace();
+        e.run_kernel(KernelSpec::new("k").with_block(seq_reads(base, 8)));
+        e.take_trace();
+        let mut w = uvm_types::codec::ByteWriter::new();
+        e.save_state(&mut w);
+        let mut image = w.into_bytes();
+        // The image ends with the (empty) access trace: tag 1, count 0.
+        assert_eq!(image[image.len() - 2..], [1, 0]);
+        image.pop();
+        let mut huge = uvm_types::codec::ByteWriter::new();
+        huge.put_u64(1 << 60);
+        image.extend_from_slice(huge.as_bytes());
+        let mut gmmu = Gmmu::new(UvmConfig::default());
+        gmmu.malloc_managed(Bytes::mib(1));
+        let mut fresh = Engine::new(gmmu, GpuConfig::default());
+        let err = fresh
+            .load_state(&mut uvm_types::codec::ByteReader::new(&image))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                uvm_core::CheckpointError::Codec(uvm_types::codec::CodecError::BadLength { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_tlb_page_outside_the_managed_range() {
+        let (mut e, base) = engine_with(UvmConfig::default(), Bytes::mib(1));
+        e.run_kernel(KernelSpec::new("k").with_block(seq_reads(base, 8)));
+        let mut w = uvm_types::codec::ByteWriter::new();
+        e.save_state(&mut w);
+        let image = w.into_bytes();
+        // Restored into a machine that manages 1 MB (256 pages), the
+        // image loads; a TLB page id past that range does not.
+        restore(&image, UvmConfig::default(), Bytes::mib(1));
+        let mut tlb = Tlb::new(4);
+        tlb.fill(PageId::new(256));
+        let mut w = uvm_types::codec::ByteWriter::new();
+        tlb.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = uvm_types::codec::ByteReader::new(&bytes).with_page_limit(256);
+        assert!(matches!(
+            Tlb::load_state(&mut r),
+            Err(uvm_types::codec::CodecError::OutOfRange {
+                value: 256,
+                limit: 256,
+                ..
+            })
+        ));
     }
 
     #[test]

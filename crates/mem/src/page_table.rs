@@ -167,14 +167,16 @@ impl PageTable {
         }
     }
 
-    /// Rebuilds a table from a [`save_state`](Self::save_state) image.
+    /// Rebuilds a table from a [`save_state`](Self::save_state) image. A
+    /// page at or past the reader's page limit is a
+    /// [`CodecError::OutOfRange`](uvm_types::codec::CodecError::OutOfRange).
     pub fn load_state(
         r: &mut uvm_types::codec::ByteReader<'_>,
     ) -> Result<Self, uvm_types::codec::CodecError> {
         let n = r.get_usize()?;
         let mut pt = PageTable::new();
         for _ in 0..n {
-            let page = PageId::new(r.get_u64()?);
+            let page = r.get_page()?;
             let bits = r.get_u8()?;
             if bits > 0b11 {
                 return Err(uvm_types::codec::CodecError::BadTag {

@@ -187,13 +187,22 @@ impl ShootdownDirectory {
             });
         }
         let words = num_units.div_ceil(64);
-        let pages = r.get_usize()?;
-        let mut generations = Vec::with_capacity(pages.min(1 << 24));
+        let pages = r.get_count()?;
+        let mut generations = Vec::with_capacity(pages);
         for _ in 0..pages {
             generations.push(r.get_u32()?);
         }
-        let mut holders = Vec::with_capacity((pages * words).min(1 << 24));
-        for _ in 0..pages * words {
+        // Every holder word takes at least one byte, so a table larger
+        // than the input left is corrupt; refuse before allocating it.
+        let n_words = pages
+            .checked_mul(words)
+            .filter(|&n| n <= r.remaining())
+            .ok_or(uvm_types::codec::CodecError::BadLength {
+                len: (pages as u64).saturating_mul(words as u64),
+                remaining: r.remaining(),
+            })?;
+        let mut holders = Vec::with_capacity(n_words);
+        for _ in 0..n_words {
             holders.push(r.get_u64()?);
         }
         Ok(ShootdownDirectory {
@@ -265,5 +274,29 @@ mod tests {
         let mut seen = Vec::new();
         dir.drain_holders(p, |u| seen.push(u));
         assert_eq!(seen, vec![0, 63]);
+    }
+
+    #[test]
+    fn load_state_rejects_a_holder_table_past_the_input() {
+        use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
+        // 64 pages of units needing 2^58 words each: the table size
+        // overflows usize.
+        let mut w = ByteWriter::new();
+        w.put_u64(u64::MAX);
+        w.put_usize(64);
+        for _ in 0..64 {
+            w.put_u32(0);
+        }
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        let err = ShootdownDirectory::load_state(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, CodecError::BadLength { .. }), "{err}");
+        // A page count past the input is refused before any allocation.
+        let mut w = ByteWriter::new();
+        w.put_usize(28);
+        w.put_u64(1 << 40);
+        let bytes = w.into_bytes();
+        let err = ShootdownDirectory::load_state(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, CodecError::BadLength { .. }), "{err}");
     }
 }

@@ -3,9 +3,13 @@
 //! The paper models a fully associative TLB with single-cycle lookup
 //! (Sec. 6.1, after Pichai et al.); misses are relayed to the GMMU for
 //! a page-table walk. Architecturally the model is LRU-replaced and
-//! fully associative; the *implementation* here is a hash-indexed
-//! intrusive LRU list, so `lookup`, `fill`, and `invalidate` are all
-//! O(1) instead of the O(capacity) scans of a naive recency array.
+//! fully associative; the *implementation* here is an intrusive LRU
+//! list over a slab of slots, indexed by a dense page → slot table, so
+//! `lookup`, `fill`, and `invalidate` are all O(1) — one table load,
+//! no hashing — instead of the O(capacity) scans of a naive recency
+//! array. The table grows to the highest page index the TLB has held,
+//! two bytes per page: page ids must be the dense indices of the
+//! simulator's 2 MB-aligned bump allocator, not arbitrary addresses.
 //!
 //! Two API layers share the same structure:
 //!
@@ -27,6 +31,7 @@
 
 use std::collections::HashMap;
 
+use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
 use uvm_types::hash::FxBuildHasher;
 use uvm_types::{LargePageId, PageId};
 
@@ -39,8 +44,12 @@ pub enum TlbLookup {
     Miss,
 }
 
-/// Index sentinel: no slot.
-const NIL: u32 = u32::MAX;
+/// A slot index. Two bytes cover any realistic TLB (the paper's has 64
+/// entries) and halve the page table next to `u32`.
+type SlotIx = u16;
+
+/// Index sentinel: no slot. [`Tlb::new`] keeps every real slot below it.
+const NIL: SlotIx = SlotIx::MAX;
 
 /// One cached translation, threaded on the intrusive recency list.
 #[derive(Clone, Copy, Debug)]
@@ -49,12 +58,17 @@ struct Slot {
     /// Page generation at fill time; a lookup hit requires this to
     /// still equal the page's current generation.
     generation: u32,
-    prev: u32,
-    next: u32,
+    prev: SlotIx,
+    next: SlotIx,
 }
 
 /// A fully associative, LRU-replaced TLB with O(1) lookup, fill, and
-/// invalidate (hash index + intrusive doubly-linked recency list).
+/// invalidate (dense page → slot table + intrusive doubly-linked
+/// recency list).
+///
+/// Page ids index the table directly, so they must be dense allocator
+/// indices (as [`PageId`]s from the GMMU's bump allocator are): the
+/// table costs two bytes per page up to the highest page cached.
 ///
 /// # Examples
 ///
@@ -69,15 +83,16 @@ struct Slot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    /// page → slot index.
-    index: HashMap<PageId, u32, FxBuildHasher>,
+    /// Page index → slot, `NIL` when not cached; grows to the highest
+    /// page filled.
+    index: Vec<SlotIx>,
     slots: Vec<Slot>,
     /// Recycled slot indices.
-    free: Vec<u32>,
+    free: Vec<SlotIx>,
     /// Least recently used slot (eviction side), `NIL` when empty.
-    lru: u32,
+    lru: SlotIx,
     /// Most recently used slot, `NIL` when empty.
-    mru: u32,
+    mru: SlotIx,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -94,15 +109,25 @@ pub struct Tlb {
 }
 
 impl Tlb {
+    /// The largest capacity: every slot index stays below the two-byte
+    /// sentinel.
+    const MAX_CAPACITY: usize = NIL as usize;
+
     /// Creates an empty TLB holding at most `capacity` translations.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above 65,535 (slot indices are
+    /// two bytes wide).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be non-zero");
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "TLB capacity {capacity} exceeds the {} slots a u16 index holds",
+            Self::MAX_CAPACITY
+        );
         Tlb {
-            index: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            index: Vec::new(),
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             lru: NIL,
@@ -133,26 +158,21 @@ impl Tlb {
     ///
     /// [`ShootdownDirectory::bump`]: crate::ShootdownDirectory::bump
     pub fn lookup_gen(&mut self, page: PageId, generation: u32) -> TlbLookup {
-        match self.index.get(&page) {
-            Some(&slot) => {
-                if self.slots[slot as usize].generation == generation {
-                    self.touch(slot);
-                    self.hits += 1;
-                    TlbLookup::Hit
-                } else {
-                    // Stale translation: logically absent since the
-                    // generation bump.
-                    self.index.remove(&page);
-                    self.unlink(slot);
-                    self.free.push(slot);
-                    self.misses += 1;
-                    TlbLookup::Miss
-                }
-            }
-            None => {
-                self.misses += 1;
-                TlbLookup::Miss
-            }
+        let slot = self.slot_of(page);
+        if slot == NIL {
+            self.misses += 1;
+            return TlbLookup::Miss;
+        }
+        if self.slots[slot as usize].generation == generation {
+            self.touch(slot);
+            self.hits += 1;
+            TlbLookup::Hit
+        } else {
+            // Stale translation: logically absent since the generation
+            // bump.
+            self.release(page, slot);
+            self.misses += 1;
+            TlbLookup::Miss
         }
     }
 
@@ -168,7 +188,8 @@ impl Tlb {
     /// page, if any. Filling an already-present page refreshes recency
     /// and re-stamps it.
     pub fn fill_gen(&mut self, page: PageId, generation: u32) -> Option<PageId> {
-        if let Some(&slot) = self.index.get(&page) {
+        let slot = self.slot_of(page);
+        if slot != NIL {
             self.slots[slot as usize].generation = generation;
             self.touch(slot);
             return None;
@@ -189,7 +210,7 @@ impl Tlb {
     /// [`lookup_gen`]: Self::lookup_gen
     pub fn fill_after_miss(&mut self, page: PageId, generation: u32) -> Option<PageId> {
         debug_assert!(
-            !self.index.contains_key(&page),
+            self.slot_of(page) == NIL,
             "fill_after_miss({page}) but the page is cached; use fill"
         );
         self.insert_new(page, generation)
@@ -202,14 +223,12 @@ impl Tlb {
     ///
     /// [`ShootdownDirectory`]: crate::ShootdownDirectory
     pub fn invalidate(&mut self, page: PageId) -> bool {
-        match self.index.remove(&page) {
-            Some(slot) => {
-                self.unlink(slot);
-                self.free.push(slot);
-                true
-            }
-            None => false,
+        let slot = self.slot_of(page);
+        if slot == NIL {
+            return false;
         }
+        self.release(page, slot);
+        true
     }
 
     /// Looks up a huge-page translation for `lp` at the GMMU's current
@@ -253,12 +272,12 @@ impl Tlb {
     /// Current number of cached translations (stale-but-unreclaimed
     /// entries included, until a lookup or fill recycles them).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.free.len()
     }
 
     /// `true` if no translations are cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Lifetime (hit, miss) counts. The counters survive
@@ -277,9 +296,9 @@ impl Tlb {
     /// implementation details no lookup can observe. Restore replays
     /// the entries through [`fill_gen`](Self::fill_gen) in recency
     /// order, which reproduces the observable state exactly.
-    pub fn save_state(&self, w: &mut uvm_types::codec::ByteWriter) {
+    pub fn save_state(&self, w: &mut ByteWriter) {
         w.put_usize(self.capacity);
-        w.put_usize(self.index.len());
+        w.put_usize(self.len());
         let mut slot = self.lru;
         while slot != NIL {
             let s = &self.slots[slot as usize];
@@ -298,27 +317,27 @@ impl Tlb {
         }
     }
 
-    /// Rebuilds a TLB from a [`save_state`](Self::save_state) image.
-    pub fn load_state(
-        r: &mut uvm_types::codec::ByteReader<'_>,
-    ) -> Result<Self, uvm_types::codec::CodecError> {
+    /// Rebuilds a TLB from a [`save_state`](Self::save_state) image. A
+    /// page at or past the reader's page limit is a
+    /// [`CodecError::OutOfRange`].
+    pub fn load_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let capacity = r.get_usize()?;
-        if capacity == 0 {
-            return Err(uvm_types::codec::CodecError::BadTag {
+        if capacity == 0 || capacity > Self::MAX_CAPACITY {
+            return Err(CodecError::BadTag {
                 what: "tlb capacity",
-                value: 0,
+                value: capacity as u64,
             });
         }
         let mut tlb = Tlb::new(capacity);
         let n = r.get_usize()?;
         if n > capacity {
-            return Err(uvm_types::codec::CodecError::BadTag {
+            return Err(CodecError::BadTag {
                 what: "tlb entry count",
                 value: n as u64,
             });
         }
         for _ in 0..n {
-            let page = PageId::new(r.get_u64()?);
+            let page = r.get_page()?;
             let generation = r.get_u32()?;
             tlb.fill_gen(page, generation);
         }
@@ -354,13 +373,29 @@ impl Tlb {
         self.huge.iter().map(|(&l, &e)| (l, e))
     }
 
+    /// The slot caching `page`, or `NIL`.
+    #[inline]
+    fn slot_of(&self, page: PageId) -> SlotIx {
+        self.index
+            .get(page.index() as usize)
+            .copied()
+            .unwrap_or(NIL)
+    }
+
+    /// Drops `page`'s entry in `slot` and recycles the slot.
+    fn release(&mut self, page: PageId, slot: SlotIx) {
+        self.index[page.index() as usize] = NIL;
+        self.unlink(slot);
+        self.free.push(slot);
+    }
+
     /// Inserts a page known to be absent, evicting the LRU entry when
     /// at capacity.
     fn insert_new(&mut self, page: PageId, generation: u32) -> Option<PageId> {
-        let (slot, victim) = if self.index.len() == self.capacity {
+        let (slot, victim) = if self.len() == self.capacity {
             let slot = self.lru;
             let victim = self.slots[slot as usize].page;
-            self.index.remove(&victim);
+            self.index[victim.index() as usize] = NIL;
             self.unlink(slot);
             (slot, Some(victim))
         } else if let Some(slot) = self.free.pop() {
@@ -372,18 +407,22 @@ impl Tlb {
                 prev: NIL,
                 next: NIL,
             });
-            ((self.slots.len() - 1) as u32, None)
+            ((self.slots.len() - 1) as SlotIx, None)
         };
         let s = &mut self.slots[slot as usize];
         s.page = page;
         s.generation = generation;
         self.push_mru(slot);
-        self.index.insert(page, slot);
+        let i = page.index() as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, NIL);
+        }
+        self.index[i] = slot;
         victim
     }
 
     /// Moves `slot` to the MRU end of the recency list.
-    fn touch(&mut self, slot: u32) {
+    fn touch(&mut self, slot: SlotIx) {
         if self.mru == slot {
             return;
         }
@@ -392,7 +431,7 @@ impl Tlb {
     }
 
     /// Detaches `slot` from the recency list.
-    fn unlink(&mut self, slot: u32) {
+    fn unlink(&mut self, slot: SlotIx) {
         let Slot { prev, next, .. } = self.slots[slot as usize];
         if prev == NIL {
             self.lru = next;
@@ -407,7 +446,7 @@ impl Tlb {
     }
 
     /// Appends a detached `slot` at the MRU end.
-    fn push_mru(&mut self, slot: u32) {
+    fn push_mru(&mut self, slot: SlotIx) {
         self.slots[slot as usize].prev = self.mru;
         self.slots[slot as usize].next = NIL;
         if self.mru == NIL {

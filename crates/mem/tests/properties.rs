@@ -225,6 +225,61 @@ fn tlb_matches_reference_implementation() {
     }
 }
 
+/// The dense page → slot table grows with the highest page held. Page
+/// ids here jump upward mid-run (each phase multiplies the range), so
+/// entries filled before a growth are hit, evicted, invalidated and
+/// refilled after it; the TLB must still match [`ReferenceTlb`] at every
+/// step, and its checkpoint must re-encode to the same bytes.
+#[test]
+fn tlb_matches_reference_as_page_ids_grow() {
+    use uvm_types::codec::{ByteReader, ByteWriter};
+    let mut rng = SmallRng::seed_from_u64(0x3e37);
+    for _ in 0..CASES {
+        let cap = rng.gen_range(1usize..24);
+        let mut fast = Tlb::new(cap);
+        let mut reference = ReferenceTlb::new(cap);
+        let mut span = 8u64;
+        for step in 0..240 {
+            if step % 60 == 59 {
+                span *= rng.gen_range(4u64..64);
+            }
+            // Half the ids come from the low pages filled before growth.
+            let p = PageId::new(if rng.gen_bool(0.5) {
+                rng.gen_range(0u64..8)
+            } else {
+                rng.gen_range(0..span)
+            });
+            match rng.gen_range(0u32..3) {
+                0 => assert_eq!(fast.lookup(p), reference.lookup(p), "step {step}"),
+                1 => {
+                    if fast.lookup(p) == TlbLookup::Miss {
+                        reference.lookup(p);
+                        assert_eq!(fast.fill_after_miss(p, 0), reference.fill(p), "step {step}");
+                    } else {
+                        reference.lookup(p);
+                        fast.fill(p);
+                        reference.fill(p);
+                    }
+                }
+                _ => assert_eq!(fast.invalidate(p), reference.invalidate(p), "step {step}"),
+            }
+            assert_eq!(fast.len(), reference.len());
+            let order: Vec<PageId> = fast.iter_entries().map(|(p, _)| p).collect();
+            assert_eq!(order, Vec::from(reference.entries.clone()), "step {step}");
+        }
+        assert_eq!(fast.hit_miss(), reference.hit_miss());
+        let mut w = ByteWriter::new();
+        fast.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes).with_page_limit(span);
+        let restored = Tlb::load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut w2 = ByteWriter::new();
+        restored.save_state(&mut w2);
+        assert_eq!(bytes, w2.into_bytes(), "TLB state round trip");
+    }
+}
+
 /// The generation shootdown protocol (bump + drain holders, stamped
 /// lookups/fills) is observationally identical to the reference TLB
 /// under an eager invalidate broadcast: same hits, same misses, same

@@ -7,12 +7,12 @@ use std::path::PathBuf;
 
 use uvm_core::trace::{encode_trace, TraceKind, TraceMeta, TraceRecord};
 use uvm_core::{
-    read_checkpoint, write_checkpoint, CheckpointError, EvictPolicy, FaultPlan, Gmmu,
+    read_checkpoint, write_checkpoint, Allocations, CheckpointError, EvictPolicy, FaultPlan, Gmmu,
     HugePageStats, PolicyRegistry, PolicySpec, PrefetchPolicy, UvmConfig,
 };
 use uvm_gpu::{Engine, EngineSnapshot, GpuConfig, KernelSpec, TraceEvent};
 use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
-use uvm_types::{Bytes, Cycle, Duration, PageId};
+use uvm_types::{Bytes, Cycle, Duration, PageId, VirtAddr};
 use uvm_workloads::Workload;
 
 use crate::exec::RunKey;
@@ -603,7 +603,19 @@ impl Lineage<'static, Engine> {
     /// Builds the engine and launch list for `workload` under `opts`,
     /// with the warm-up pair installed when a warm-up is in force.
     fn build(workload: &dyn Workload, opts: &RunOptions) -> Self {
-        let footprint = measure_footprint(workload);
+        // One workload build serves both the footprint (which sizes the
+        // driver) and the run. It allocates from a scratch registry —
+        // bump addresses depend only on the size sequence — and the
+        // real driver replays the recorded mallocs below.
+        let mut scratch = Allocations::new();
+        let mut mallocs: Vec<(Bytes, VirtAddr)> = Vec::new();
+        let kernels = workload.build(&mut |size: Bytes| {
+            let id = scratch.allocate(size);
+            let base = scratch.get(id).base();
+            mallocs.push((size, base));
+            base
+        });
+        let footprint = scratch.total_requested();
         // `memory_frac` is range-checked by `RunOptions::validate`.
         let capacity = opts
             .memory_frac
@@ -637,10 +649,16 @@ impl Lineage<'static, Engine> {
         if opts.trace_export.is_some() {
             gmmu.enable_fault_trace();
         }
-        let kernels = {
-            let mut malloc = |size: Bytes| gmmu.malloc_managed(size);
-            workload.build(&mut malloc)
-        };
+        for (size, base) in mallocs {
+            let replayed = gmmu.malloc_managed(size);
+            assert_eq!(
+                replayed,
+                base,
+                "workload '{}': replayed malloc of {size} landed at {replayed}, \
+                 but the build was handed {base}",
+                workload.name()
+            );
+        }
         let mut engine = Engine::new(gmmu, opts.gpu.clone());
         if opts.trace || opts.trace_export.is_some() {
             engine.enable_trace();

@@ -39,6 +39,7 @@
 use std::fmt;
 
 use crate::hash::StableHasher;
+use crate::{BasicBlockId, LargePageId, PageId, PAGES_PER_BASIC_BLOCK, PAGES_PER_LARGE_PAGE};
 
 /// The 128-bit FNV-1a checksum a file envelope stores over its
 /// payload, so a reader can reject damage before decoding a byte.
@@ -90,6 +91,16 @@ pub enum CodecError {
         /// How many bytes were left unread.
         remaining: usize,
     },
+    /// An id that indexes a dense table lies outside the managed range
+    /// the reader was bounded to (see [`ByteReader::with_page_limit`]).
+    OutOfRange {
+        /// What was being decoded (static context string).
+        what: &'static str,
+        /// The offending id.
+        value: u64,
+        /// The exclusive bound it had to stay under.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -109,6 +120,9 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { what, value } => write!(f, "bad {what} tag {value}"),
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after decode")
+            }
+            CodecError::OutOfRange { what, value, limit } => {
+                write!(f, "{what} {value} outside the managed range 0..{limit}")
             }
         }
     }
@@ -216,16 +230,89 @@ impl ByteWriter {
 }
 
 /// Bounds-checked binary decoder over a borrowed buffer.
+///
+/// Besides the buffer, a reader carries a *page limit*: the number of
+/// pages the decoded state manages. Tables indexed by page, basic-block
+/// or large-page id grow to the highest id they hold, so their decoders
+/// read ids through [`get_page`](Self::get_page) and friends, which
+/// reject an id at or past the limit instead of letting one corrupt
+/// record size an allocation. A new reader's limit is 0: until the
+/// caller states the managed range, no such id is accepted.
 #[derive(Clone, Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    page_limit: u64,
 }
 
 impl<'a> ByteReader<'a> {
-    /// A reader at the start of `buf`.
+    /// A reader at the start of `buf`, with a page limit of 0.
     pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+        ByteReader {
+            buf,
+            pos: 0,
+            page_limit: 0,
+        }
+    }
+
+    /// The same reader, accepting page ids below `limit`.
+    pub fn with_page_limit(mut self, limit: u64) -> Self {
+        self.page_limit = limit;
+        self
+    }
+
+    /// Accepts page ids below `limit` from here on.
+    pub fn set_page_limit(&mut self, limit: u64) {
+        self.page_limit = limit;
+    }
+
+    /// The exclusive bound on decoded page ids.
+    pub fn page_limit(&self) -> u64 {
+        self.page_limit
+    }
+
+    /// Reads a page id, rejecting one at or past the page limit.
+    pub fn get_page(&mut self) -> Result<PageId, CodecError> {
+        self.get_bounded("page id", self.page_limit)
+            .map(PageId::new)
+    }
+
+    /// Reads a basic-block id, rejecting one whose first page lies at or
+    /// past the page limit.
+    pub fn get_basic_block(&mut self) -> Result<BasicBlockId, CodecError> {
+        let limit = self.page_limit.div_ceil(PAGES_PER_BASIC_BLOCK);
+        self.get_bounded("basic-block id", limit)
+            .map(BasicBlockId::new)
+    }
+
+    /// Reads a large-page id, rejecting one whose first page lies at or
+    /// past the page limit.
+    pub fn get_large_page(&mut self) -> Result<LargePageId, CodecError> {
+        let limit = self.page_limit.div_ceil(PAGES_PER_LARGE_PAGE);
+        self.get_bounded("large-page id", limit)
+            .map(LargePageId::new)
+    }
+
+    fn get_bounded(&mut self, what: &'static str, limit: u64) -> Result<u64, CodecError> {
+        let value = self.get_u64()?;
+        if value >= limit {
+            return Err(CodecError::OutOfRange { what, value, limit });
+        }
+        Ok(value)
+    }
+
+    /// Reads an element count, rejecting one larger than the bytes left:
+    /// every encoded value takes at least one byte, so a larger count is
+    /// corrupt, and a caller may pre-allocate the count it gets back.
+    pub fn get_count(&mut self) -> Result<usize, CodecError> {
+        let len = self.get_u64()?;
+        if len > self.remaining() as u64 {
+            return Err(CodecError::BadLength {
+                len,
+                remaining: self.remaining(),
+            });
+        }
+        Ok(len as usize)
     }
 
     /// Bytes not yet consumed.

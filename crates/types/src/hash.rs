@@ -2,13 +2,14 @@
 //!
 //! * [`StableHasher`] — a stable 128-bit content hasher for on-disk
 //!   cache keys, and
-//! * [`FxHasher`] — a fast in-process hasher for hot-path hash maps
-//!   (per-SM TLB indexes, the GMMU's huge-page tables, and the
-//!   evictors' recency lists `LruQueue` and `HierarchicalLru`, which
-//!   every simulated access touches), where SipHash's per-byte mixing
-//!   would eat the lookup-structure win. Unlike std's SipHash it is
-//!   not randomly keyed, so even a map's iteration order repeats from
-//!   run to run.
+//! * [`FxHasher`] — a fast in-process hasher for the in-process hash
+//!   maps off the per-access path (the GMMU's huge-page and region
+//!   tables, each TLB's huge-page side table), where SipHash's
+//!   per-byte mixing would eat the lookup-structure win. Unlike std's
+//!   SipHash it is not randomly keyed, so even a map's iteration order
+//!   repeats from run to run. The per-access structures (TLB slot
+//!   indexes, the evictors' recency lists) index dense page tables
+//!   instead and hash nothing.
 //!
 //! `std::hash::Hasher` implementations (SipHash) are randomly keyed
 //! per process, so they cannot name on-disk cache entries. The FNV-1a
