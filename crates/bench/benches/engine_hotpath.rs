@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the engine's per-run hot path: per-SM TLB
-//! lookup/fill/invalidate, the eviction shootdown broadcast, the event
-//! queue, and the fig5-style end-to-end single-run path.
+//! lookup/fill/invalidate, the eviction shootdown broadcast, the
+//! resident-set sampling path, and the fig5-style end-to-end
+//! single-run path.
 //!
 //! Run with `cargo bench -p uvm-bench --bench engine_hotpath`; set
 //! `UVM_BENCH_JSON=BENCH_engine.json` to also emit the JSON report the
@@ -129,39 +130,6 @@ fn bench_tlb(b: &Bench) {
     });
 }
 
-/// The engine's event-queue churn pattern: a near-monotone stream of
-/// (cycle, seq) events — mostly short hops (TLB-hit latency), a few
-/// long fault-latency hops — pushed and popped through the priority
-/// structure. Models ~224 in-flight warp events (28 SMs x 8 blocks).
-fn bench_queue(b: &Bench) {
-    use uvm_gpu::EventQueue;
-    use uvm_types::Cycle;
-
-    const WARPS: u64 = 224;
-    b.bench("queue/calendar_churn_224warps", || {
-        let mut q: EventQueue<usize> = EventQueue::new();
-        for w in 0..WARPS {
-            q.push(Cycle::ZERO, w as usize);
-        }
-        let mut popped = 0u64;
-        while let Some((t, w)) = q.pop() {
-            popped += 1;
-            if popped >= 20_000 {
-                break;
-            }
-            // 1-in-64 events take the far-fault hop, the rest the
-            // TLB-hit hop — the engine's actual latency mix.
-            let hop = if popped.is_multiple_of(64) {
-                66_645
-            } else {
-                321
-            };
-            q.push(Cycle::new(t.index() + hop), w);
-        }
-        black_box(popped);
-    });
-}
-
 /// The evictor sampling path: the resident set under migration/
 /// eviction churn with random victim draws — the random evictor's
 /// steady state at over-subscription, on the bitmap-backed
@@ -228,7 +196,6 @@ fn bench_single_run(b: &Bench) {
 fn main() {
     let b = Bench::from_args();
     bench_tlb(&b);
-    bench_queue(&b);
     bench_resident_set(&b);
     bench_single_run(&b);
     b.write_json_from_env("engine_hotpath")

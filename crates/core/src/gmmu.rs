@@ -1575,7 +1575,7 @@ mod tests {
     use super::*;
     use crate::alloc::AllocId;
     use crate::policy::{EvictPolicy, PrefetchPolicy};
-    use crate::prefetch::LearnedPrefetcher;
+    use crate::prefetch::{LearnedPrefetcher, RandomPrefetcher};
     use crate::trace::{train_table, TraceKind, TraceRecord};
     use uvm_types::Duration;
 
@@ -1662,6 +1662,81 @@ mod tests {
         assert_eq!(g.stats().pages_prefetched, 1);
         // Both travel as separate 4 KB transfers.
         assert_eq!(g.read_stats().histogram.count_4kib(), 2);
+    }
+
+    /// Rp's counted pick equals indexing the list of invalid pages
+    /// other than the faulty one, and leaves the RNG at the same
+    /// position, on seeded residencies. A large page with no other
+    /// invalid page plans nothing and draws nothing.
+    #[test]
+    fn random_prefetch_pick_matches_candidate_list() {
+        fn list_pick(
+            view: &ResidencyView<'_>,
+            rng: &mut SmallRng,
+            page: PageId,
+            alloc: AllocId,
+        ) -> Vec<Vec<PageId>> {
+            let alloc = view.alloc(alloc);
+            let lp_first = page.large_page().first_page();
+            let start = lp_first.index().max(alloc.first_page().index());
+            let end = (lp_first.index() + PAGES_PER_LARGE_PAGE).min(alloc.end_page().index());
+            let candidates: Vec<PageId> = (start..end)
+                .map(PageId::new)
+                .filter(|&p| p != page && !view.is_valid(p))
+                .collect();
+            if candidates.is_empty() {
+                return Vec::new();
+            }
+            vec![vec![candidates[rng.gen_range(0..candidates.len())]]]
+        }
+
+        let mut rng = SmallRng::seed_from_u64(0x5eed_0a9e);
+        for round in 0..8 {
+            let mut g = Gmmu::new(UvmConfig::default().with_prefetch(PrefetchPolicy::None));
+            let ranges = [
+                (g.malloc_managed(Bytes::mib(4)), 1024u64),
+                (g.malloc_managed(Bytes::kib(2600)), 650),
+            ];
+            // The first large page is resident but for one hole.
+            let hole = ranges[0]
+                .0
+                .page()
+                .add(rng.gen_range(0..PAGES_PER_LARGE_PAGE));
+            for p in (0..PAGES_PER_LARGE_PAGE).map(|k| ranges[0].0.page().add(k)) {
+                if p != hole {
+                    g.handle_fault(p, Cycle::ZERO);
+                }
+            }
+            let target = g.resident_pages() + rng.gen_range(0..1200u64);
+            while g.resident_pages() < target {
+                let (base, pages) = ranges[rng.gen_range(0..ranges.len())];
+                let p = base.page().add(rng.gen_range(0..pages));
+                if p != hole && !g.is_resident(p) {
+                    g.handle_fault(p, Cycle::ZERO);
+                }
+            }
+            let faults: Vec<(PageId, AllocId)> = ranges
+                .iter()
+                .flat_map(|&(base, pages)| (0..pages).map(move |k| base.page().add(k)))
+                .filter(|&p| !g.is_resident(p))
+                .map(|p| (p, g.allocs.find_by_page(p).unwrap().id()))
+                .collect();
+            assert_eq!(faults[0].0, hole, "round {round}");
+            let (view, _, _, _) = g.policy_view();
+            for &(page, alloc) in &faults {
+                let mut counted_rng = rng.clone();
+                let mut list_rng = rng.clone();
+                let counted = RandomPrefetcher.plan(&view, &mut counted_rng, page, alloc);
+                let listed = list_pick(&view, &mut list_rng, page, alloc);
+                assert_eq!(counted, listed, "round {round}, fault {page}");
+                if page == hole {
+                    assert!(counted.is_empty(), "round {round}: hole has no candidates");
+                    assert_eq!(counted_rng.state(), rng.state(), "hole draws nothing");
+                }
+                assert_eq!(counted_rng.next_u64(), list_rng.next_u64(), "fault {page}");
+                rng.next_u64();
+            }
+        }
     }
 
     #[test]

@@ -31,16 +31,20 @@ impl Prefetcher for RandomPrefetcher {
         let lp_first = page.large_page().first_page();
         let start = lp_first.index().max(alloc.first_page().index());
         let end = (lp_first.index() + PAGES_PER_LARGE_PAGE).min(alloc.end_page().index());
-        let mut candidates: Vec<PageId> = Vec::with_capacity((end.saturating_sub(start)) as usize);
-        candidates.extend(
+        // Pick the k-th invalid page other than the faulty one without
+        // listing them: the same pick and RNG draw as indexing a list.
+        let candidates = || {
             (start..end)
                 .map(PageId::new)
-                .filter(|&p| p != page && !view.is_valid(p)),
-        );
-        if candidates.is_empty() {
+                .filter(|&p| p != page && !view.is_valid(p))
+        };
+        let count = candidates().count();
+        if count == 0 {
             return Vec::new();
         }
-        let pick = candidates[rng.gen_range(0..candidates.len())];
+        let pick = candidates()
+            .nth(rng.gen_range(0..count))
+            .expect("k < count");
         vec![vec![pick]]
     }
 

@@ -1,7 +1,8 @@
 //! The discrete-event engine: SMs, warp actors, TLBs, fault replay.
 //!
-//! The per-event hot path is allocation-free and O(1) per step: warp
-//! events flow through a calendar [`EventQueue`], access streams are
+//! The per-event hot path is allocation-free: warp events are single
+//! `u64` keys in a binary min-heap (the event cycle packed above the
+//! warp's dispatch rank, see [`EventKeys`]), access streams are
 //! pre-compiled into an engine-owned arena walked by cursor, per-SM
 //! TLB operations index a dense page → slot table (no hashing), and
 //! eviction shootdowns consult a
@@ -9,12 +10,14 @@
 //! touched. See DESIGN.md §7 for the design, its exactness argument,
 //! and the same-cycle ordering contract the schedule rests on.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use uvm_core::Gmmu;
 use uvm_mem::{RadixWalkModel, ShootdownDirectory, Tlb, TlbLookup};
 use uvm_types::{Cycle, Duration, PageId};
 
 use crate::kernel::{Access, KernelSpec};
-use crate::queue::EventQueue;
 
 /// One completed page access in a captured trace (the raw data of the
 /// paper's Fig. 12 scatter, with warp attribution for per-warp
@@ -92,9 +95,59 @@ struct WarpState {
     /// Static same-cycle tiebreak: the warp's position in the SM-major
     /// dispatch enumeration. Events at equal cycles pop in ascending
     /// rank, making the schedule a pure function of `(cycle, warp)` —
-    /// see [`EventQueue::push_keyed`].
-    rank: u64,
+    /// see [`EventKeys`].
+    rank: usize,
     done: bool,
+}
+
+/// Packs a warp event into one heap key: `cycle << rank_bits | rank`.
+///
+/// Ranks are unique per kernel and each warp has at most one live
+/// event, so keys are unique, and comparing two keys compares their
+/// `(cycle, rank)` tuples lexicographically. A min-heap of keys thus
+/// pops in exactly the order the same-cycle contract (DESIGN.md §7)
+/// requires, with one `u64` compare per heap level.
+#[derive(Clone, Copy, Debug)]
+struct EventKeys {
+    /// Bits reserved for the rank: enough for the kernel's block count.
+    rank_bits: u32,
+}
+
+impl EventKeys {
+    /// Keys for a kernel of `num_blocks` thread blocks (ranks
+    /// `0..num_blocks`).
+    fn for_blocks(num_blocks: usize) -> Self {
+        EventKeys {
+            rank_bits: u64::BITS - (num_blocks.saturating_sub(1) as u64).leading_zeros(),
+        }
+    }
+
+    /// The heap key of an event at `cycle` for the warp of `rank`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` does not fit above the rank bits, in every
+    /// build profile: a truncated key would silently reorder events.
+    #[inline]
+    fn pack(self, cycle: Cycle, rank: usize) -> Reverse<u64> {
+        assert!(
+            cycle.index() <= u64::MAX >> self.rank_bits,
+            "event cycle {} does not fit above {} rank bits",
+            cycle.index(),
+            self.rank_bits
+        );
+        Reverse(cycle.index() << self.rank_bits | rank as u64)
+    }
+
+    /// The `(cycle, rank)` a key was packed from.
+    #[inline]
+    fn unpack(self, Reverse(key): Reverse<u64>) -> (Cycle, usize) {
+        let rank_mask = (1u64 << self.rank_bits) - 1;
+        (
+            Cycle::new(key >> self.rank_bits),
+            (key & rank_mask) as usize,
+        )
+    }
 }
 
 /// The GPU engine: owns the [`Gmmu`] and executes kernels on it.
@@ -115,8 +168,9 @@ pub struct Engine {
     /// Per-page generation counters + TLB holder sets, replacing the
     /// all-SM invalidate broadcast on page eviction.
     shootdown: ShootdownDirectory,
-    /// Warp event calendar, reused (empty) across kernel launches.
-    queue: EventQueue<usize>,
+    /// Pending warp events as [`EventKeys`]-packed keys (min-heap);
+    /// empty between kernel launches, storage reused across them.
+    queue: BinaryHeap<Reverse<u64>>,
     /// Flattened access streams of the running kernel; storage reused
     /// across launches.
     arena: Vec<Access>,
@@ -148,7 +202,7 @@ impl Engine {
             cfg,
             tlbs,
             shootdown,
-            queue: EventQueue::new(),
+            queue: BinaryHeap::new(),
             arena: Vec::new(),
             walker,
             now: Cycle::ZERO,
@@ -233,12 +287,14 @@ impl Engine {
         }
         // Same-cycle ranks follow the SM-major dispatch enumeration
         // (all of SM0's blocks, then SM1's, ...), matching the order
-        // the initial pushes historically queued in.
-        let mut rank = 0u64;
+        // the initial pushes historically queued in. `by_rank` maps a
+        // popped key's rank back to its warp.
+        let keys = EventKeys::for_blocks(warps.len());
+        let mut by_rank: Vec<usize> = Vec::with_capacity(warps.len());
         for q in &sm_queues {
             for &w in q {
-                warps[w].rank = rank;
-                rank += 1;
+                warps[w].rank = by_rank.len();
+                by_rank.push(w);
             }
         }
 
@@ -253,13 +309,15 @@ impl Engine {
             while active_per_sm[sm] < self.cfg.blocks_per_sm {
                 let Some(w) = sm_queues[sm].pop() else { break };
                 active_per_sm[sm] += 1;
-                self.queue.push_keyed(start, warps[w].rank, w);
+                self.queue.push(keys.pack(start, warps[w].rank));
             }
         }
 
         let mut end = start;
         let mut last_popped = start;
-        while let Some((t, w)) = self.queue.pop() {
+        while let Some(key) = self.queue.pop() {
+            let (t, rank) = keys.unpack(key);
+            let w = by_rank[rank];
             debug_assert!(
                 t >= last_popped,
                 "event time went backwards: {t} after {last_popped}"
@@ -298,14 +356,13 @@ impl Engine {
                 active_per_sm[sm] -= 1;
                 if let Some(next) = sm_queues[sm].pop() {
                     active_per_sm[sm] += 1;
-                    self.queue.push_keyed(t, warps[next].rank, next);
+                    self.queue.push(keys.pack(t, warps[next].rank));
                 }
                 continue;
             };
 
             let page = access.page();
             let sm = warp.sm;
-            let rank = warp.rank;
             // Huge-page fast path: a coalesced 2 MB mapping serves the
             // whole large page out of one side-table TLB entry. Entries
             // are epoch-stamped, so one splinter (epoch bump) stales
@@ -316,7 +373,7 @@ impl Engine {
                     self.complete_access(access, done, w);
                     warps[w].current = None;
                     self.queue
-                        .push_keyed(done + self.cfg.compute_delay, rank, w);
+                        .push(keys.pack(done + self.cfg.compute_delay, rank));
                     continue;
                 }
             }
@@ -328,7 +385,7 @@ impl Engine {
                     self.complete_access(access, done, w);
                     warps[w].current = None;
                     self.queue
-                        .push_keyed(done + self.cfg.compute_delay, rank, w);
+                        .push(keys.pack(done + self.cfg.compute_delay, rank));
                 }
                 TlbLookup::Miss => {
                     let walk_latency = match &mut self.walker {
@@ -360,12 +417,12 @@ impl Engine {
                                 tlbs[unit].invalidate(evicted);
                             });
                         }
-                        self.queue.push_keyed(res.fault_page_ready(), rank, w);
+                        self.queue.push(keys.pack(res.fault_page_ready(), rank));
                     } else if let Some(ready) = self.gmmu.ready_time(page, walked) {
                         // In-flight prefetch: stall until the data lands
                         // (the MSHR-merge path — the migration already
                         // has an owner).
-                        self.queue.push_keyed(ready, rank, w);
+                        self.queue.push(keys.pack(ready, rank));
                     } else if let Some(epoch) =
                         self.gmmu.huge_translation(page.large_page(), walked)
                     {
@@ -378,7 +435,7 @@ impl Engine {
                         self.complete_access(access, done, w);
                         warps[w].current = None;
                         self.queue
-                            .push_keyed(done + self.cfg.compute_delay, rank, w);
+                            .push(keys.pack(done + self.cfg.compute_delay, rank));
                     } else {
                         // The lookup above just missed, so the page is
                         // certainly absent: take the no-reprobe fill.
@@ -390,7 +447,7 @@ impl Engine {
                         self.complete_access(access, done, w);
                         warps[w].current = None;
                         self.queue
-                            .push_keyed(done + self.cfg.compute_delay, rank, w);
+                            .push(keys.pack(done + self.cfg.compute_delay, rank));
                     }
                 }
             }
@@ -409,8 +466,9 @@ impl Engine {
     /// Everything the simulation's future depends on is captured: the
     /// GMMU (page/frame tables, policy state, PCI-e channel backlog,
     /// RNG streams, statistics), all per-SM TLBs, the shootdown
-    /// directory, the walk-cache model, the calendar event queue, the
-    /// clock, and the trace buffer. Per-warp arena cursors are kernel-
+    /// directory, the walk-cache model, the clock, and the trace
+    /// buffer. The warp-event heap is not captured: it is empty
+    /// between launches. Per-warp arena cursors are kernel-
     /// local (the access arena is recompiled per launch), which is why
     /// snapshots are only legal at a launch boundary.
     ///
@@ -1107,5 +1165,113 @@ mod tests {
                 ..GpuConfig::default()
             },
         );
+    }
+
+    #[test]
+    fn rank_bits_fit_the_block_count() {
+        for (blocks, bits) in [(0, 0), (1, 0), (2, 1), (3, 2), (96, 7), (128, 7), (129, 8)] {
+            assert_eq!(
+                EventKeys::for_blocks(blocks).rank_bits,
+                bits,
+                "{blocks} blocks"
+            );
+        }
+    }
+
+    /// Packing preserves lexicographic `(cycle, rank)` order and
+    /// unpacks to what was packed, including cycles at the top of the
+    /// packable range.
+    #[test]
+    fn packed_keys_preserve_cycle_rank_order() {
+        use uvm_types::rng::{Rng, SmallRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x6b3e);
+        for case in 0..4_000 {
+            let blocks = rng.gen_range(1usize..5_000);
+            let keys = EventKeys::for_blocks(blocks);
+            let max = u64::MAX >> keys.rank_bits;
+            let event = |rng: &mut SmallRng| {
+                let cycle = match rng.gen_range(0u32..3) {
+                    0 => rng.gen_range(0u64..4),
+                    1 => max - rng.gen_range(0u64..4),
+                    _ => rng.gen_range(0..max),
+                };
+                (cycle, rng.gen_range(0..blocks))
+            };
+            let a = event(&mut rng);
+            // Half the pairs share a cycle, so ties reach the rank.
+            let b = match rng.gen_bool(0.5) {
+                true => (a.0, rng.gen_range(0..blocks)),
+                false => event(&mut rng),
+            };
+            let (ka, kb) = (
+                keys.pack(Cycle::new(a.0), a.1),
+                keys.pack(Cycle::new(b.0), b.1),
+            );
+            assert_eq!(ka.0.cmp(&kb.0), a.cmp(&b), "case {case}: {a:?} vs {b:?}");
+            assert_eq!(keys.unpack(ka), (Cycle::new(a.0), a.1), "case {case}");
+        }
+    }
+
+    /// The key heap pops randomized engine-like logs in sorted
+    /// `(cycle, rank)` order: one live event per rank, pushes at or
+    /// after the last pop, 321-cycle TLB-hit hops, ~66 k-cycle fault
+    /// hops, and same-cycle ties across ranks from the lockstep
+    /// dispatch and from retirements that start a queued block.
+    #[test]
+    fn heap_pops_engine_like_logs_in_tuple_order() {
+        use std::collections::BTreeSet;
+        use uvm_types::rng::{Rng, SmallRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x6b3f);
+        for case in 0..64 {
+            let blocks = rng.gen_range(1usize..225);
+            let keys = EventKeys::for_blocks(blocks);
+            let resident = rng.gen_range(1..blocks + 1);
+            let mut queued = resident..blocks;
+            let mut accesses_left: Vec<u32> =
+                (0..blocks).map(|_| rng.gen_range(0u32..40)).collect();
+            let start = rng.gen_range(0u64..1 << 40);
+            let mut heap = BinaryHeap::new();
+            let mut reference = BTreeSet::new();
+            let push = |heap: &mut BinaryHeap<_>, reference: &mut BTreeSet<_>, cycle, rank| {
+                assert!(reference.insert((cycle, rank)), "rank {rank} already live");
+                heap.push(keys.pack(Cycle::new(cycle), rank));
+            };
+            for rank in 0..resident {
+                push(&mut heap, &mut reference, start, rank);
+            }
+            let mut popped = 0;
+            while let Some(key) = heap.pop() {
+                let (t, rank) = keys.unpack(key);
+                let expect = reference.pop_first().expect("reference holds every event");
+                assert_eq!((t.index(), rank), expect, "case {case}, pop {popped}");
+                popped += 1;
+                if accesses_left[rank] == 0 {
+                    if let Some(next) = queued.next() {
+                        push(&mut heap, &mut reference, t.index(), next);
+                    }
+                    continue;
+                }
+                accesses_left[rank] -= 1;
+                let hop = match rng.gen_range(0u32..8) {
+                    0 => 66_645,
+                    1 => 66_645 + rng.gen_range(0u64..400),
+                    2 => rng.gen_range(1u64..400),
+                    _ => 321,
+                };
+                push(&mut heap, &mut reference, t.index() + hop, rank);
+            }
+            assert!(reference.is_empty(), "case {case}: events left behind");
+            assert_eq!(queued.len(), 0, "case {case}: blocks never started");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event cycle 144115188075855872 does not fit above 7 rank bits")]
+    fn packing_a_cycle_too_large_panics() {
+        let keys = EventKeys::for_blocks(96);
+        let _ = keys.pack(Cycle::new(u64::MAX >> 7), 95);
+        let _ = keys.pack(Cycle::new((u64::MAX >> 7) + 1), 0);
     }
 }

@@ -35,8 +35,6 @@
 
 mod engine;
 mod kernel;
-mod queue;
 
 pub use engine::{Engine, EngineSnapshot, GpuConfig, KernelResult, TraceEvent};
 pub use kernel::{coalesce_pages, Access, CompiledKernel, KernelSpec, ThreadBlockSpec};
-pub use queue::EventQueue;

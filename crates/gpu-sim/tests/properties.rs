@@ -4,9 +4,9 @@
 //! seeded `SmallRng` case loops.
 
 use uvm_core::{EvictPolicy, Gmmu, PrefetchPolicy, UvmConfig};
-use uvm_gpu::{Access, Engine, EventQueue, GpuConfig, KernelSpec, ThreadBlockSpec};
+use uvm_gpu::{Access, Engine, GpuConfig, KernelSpec, ThreadBlockSpec};
 use uvm_types::rng::{Rng, SmallRng};
-use uvm_types::{Bytes, Cycle, Duration, PAGE_SIZE};
+use uvm_types::{Bytes, Duration, PAGE_SIZE};
 
 const CASES: usize = 24;
 
@@ -119,66 +119,6 @@ fn engine_is_deterministic() {
         let (t2, s2) = run();
         assert_eq!(t1, t2);
         assert_eq!(s1, s2);
-    }
-}
-
-/// Same-schedule property: the calendar [`EventQueue`] pops events in
-/// the exact order of the `BinaryHeap<Reverse<(Cycle, seq, payload)>>`
-/// it replaced, over randomized engine-like event logs — near-monotone
-/// pushes with same-cycle bursts (FIFO ties), TLB-hit hops, far-fault
-/// hops past the ring horizon, full drains, and cold restarts.
-#[test]
-fn event_queue_matches_binary_heap_order() {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut rng = SmallRng::seed_from_u64(0x69b4);
-    for case in 0..CASES {
-        // Vary geometry so bucket spans and horizons all get exercised,
-        // including ones far smaller than the engine's default.
-        let shift = rng.gen_range(0u64..9) as u32;
-        let n_buckets = 64 * rng.gen_range(1usize..5);
-        let mut q: EventQueue<u64> = EventQueue::with_geometry(shift, n_buckets);
-        let mut h: BinaryHeap<Reverse<(Cycle, u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let mut id = 0u64;
-        let steps = rng.gen_range(1usize..2_000);
-        for step in 0..steps {
-            if rng.gen_bool(0.5) && !h.is_empty() {
-                let Reverse((t, _, v)) = h.pop().expect("non-empty");
-                assert_eq!(
-                    q.pop(),
-                    Some((t, v)),
-                    "case {case} (shift {shift}, {n_buckets} buckets) \
-                     diverged at step {step}"
-                );
-                now = t.index();
-            } else {
-                // Push 1–4 events at or after the last popped cycle:
-                // same-cycle ties, short hops, and horizon-crossing
-                // fault hops, like the engine's latency mix.
-                for _ in 0..rng.gen_range(1u64..5) {
-                    let hop = match rng.gen_range(0u32..8) {
-                        0 => 0,
-                        1 => 66_645,
-                        2 => rng.gen_range(0u64..1_000_000),
-                        _ => rng.gen_range(0u64..400),
-                    };
-                    let t = Cycle::new(now + hop);
-                    q.push(t, id);
-                    h.push(Reverse((t, seq, id)));
-                    seq += 1;
-                    id += 1;
-                }
-            }
-            assert_eq!(q.len(), h.len());
-        }
-        while let Some(Reverse((t, _, v))) = h.pop() {
-            assert_eq!(q.pop(), Some((t, v)), "case {case} diverged in drain");
-        }
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 }
 

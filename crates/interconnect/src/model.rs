@@ -1,7 +1,9 @@
 //! The PCI-e cost model: latency and bandwidth as a function of
 //! transfer size.
 
-use uvm_types::{Bytes, Duration};
+use std::sync::OnceLock;
+
+use uvm_types::{Bytes, Duration, PAGES_PER_LARGE_PAGE, PAGE_SIZE};
 
 /// Calibration points measured by the paper on a GTX 1080ti with
 /// PCI-e 3.0 16x (Table 1): `(transfer size, bandwidth in GB/s)`.
@@ -12,6 +14,11 @@ const TABLE1: [(Bytes, f64); 5] = [
     (Bytes::kib(256), 10.508),
     (Bytes::kib(1024), 11.223),
 ];
+
+/// Table 1 transfer times of every whole number of 4 KB pages up to
+/// 2 MB (index = page count), the sizes of every migration and
+/// write-back. Filled on the first transfer, not at model construction.
+static TABLE1_PAGE_TIMES: OnceLock<[Duration; PAGES_PER_LARGE_PAGE as usize + 1]> = OnceLock::new();
 
 /// Bandwidth-vs-size cost model for one direction of a PCI-e link.
 ///
@@ -39,13 +46,19 @@ const TABLE1: [(Bytes, f64); 5] = [
 pub struct PcieModel {
     /// `(log2(size_bytes), bandwidth GB/s)` calibration points, sorted.
     points: Vec<(f64, f64)>,
+    /// Calibrated to Table 1, so whole-page transfer times come from
+    /// [`TABLE1_PAGE_TIMES`].
+    table1: bool,
 }
 
 impl PcieModel {
     /// The model calibrated to the paper's GTX 1080ti / PCI-e 3.0 16x
     /// measurements (Table 1).
     pub fn pascal_x16() -> Self {
-        Self::from_calibration(&TABLE1)
+        PcieModel {
+            table1: true,
+            ..Self::from_calibration(&TABLE1)
+        }
     }
 
     /// Builds a model from `(size, GB/s)` calibration points.
@@ -67,6 +80,7 @@ impl PcieModel {
                 .iter()
                 .map(|&(size, gbps)| ((size.bytes() as f64).log2(), gbps))
                 .collect(),
+            table1: false,
         }
     }
 
@@ -104,6 +118,21 @@ impl PcieModel {
     ///
     /// A zero-size transfer takes zero time.
     pub fn transfer_time(&self, size: Bytes) -> Duration {
+        let pages = size.bytes() / PAGE_SIZE.bytes();
+        if self.table1
+            && size.bytes().is_multiple_of(PAGE_SIZE.bytes())
+            && pages <= PAGES_PER_LARGE_PAGE
+        {
+            let times = TABLE1_PAGE_TIMES.get_or_init(|| {
+                std::array::from_fn(|k| self.compute_transfer_time(PAGE_SIZE * k as u64))
+            });
+            return times[pages as usize];
+        }
+        self.compute_transfer_time(size)
+    }
+
+    /// [`transfer_time`](Self::transfer_time) computed from the curve.
+    fn compute_transfer_time(&self, size: Bytes) -> Duration {
         if size == Bytes::ZERO {
             return Duration::ZERO;
         }
@@ -202,6 +231,30 @@ mod tests {
             );
             prev = bw;
         }
+    }
+
+    /// Table-served sizes are bit-identical to the curve, and sizes
+    /// off the table still compute from it.
+    #[test]
+    fn page_table_matches_direct_computation() {
+        let m = PcieModel::pascal_x16();
+        for k in 0..=PAGES_PER_LARGE_PAGE {
+            let size = PAGE_SIZE * k;
+            assert_eq!(
+                m.transfer_time(size),
+                m.compute_transfer_time(size),
+                "{k} pages"
+            );
+        }
+        for size in [Bytes::new(6_000), Bytes::mib(2) + PAGE_SIZE, Bytes::mib(4)] {
+            assert_eq!(
+                m.transfer_time(size),
+                m.compute_transfer_time(size),
+                "{size}"
+            );
+        }
+        // Above 2 MB the bandwidth stays clamped, so time keeps growing.
+        assert!(m.transfer_time(Bytes::mib(4)) > m.transfer_time(Bytes::mib(2)));
     }
 
     #[test]
