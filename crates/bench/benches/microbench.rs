@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the core mechanisms: tree balancing, LRU
 //! bookkeeping, the PCI-e cost model, the GMMU frame-lookup hot path,
-//! the buddy frame allocator's split/merge and region cycles, and
+//! the frame allocator's single-frame and region cycles, and
 //! end-to-end fault servicing through the GMMU.
 //!
 //! Run with `cargo bench -p uvm-bench --bench microbench`; an optional
@@ -137,13 +137,12 @@ fn bench_frame_table(b: &Bench) {
     });
 }
 
-/// The buddy frame allocator's contiguity machinery (DESIGN.md §9):
-/// the legacy single-frame path every non-Mosaic policy stays on, the
-/// order-4 split/merge cycle, and the 2 MB region reserve → carve →
-/// release cycle backing MOSp's contiguous placement.
+/// The frame allocator's contiguity machinery (DESIGN.md §9): the
+/// legacy single-frame path every non-Mosaic policy stays on, and the
+/// 2 MB region reserve → carve → release cycle backing MOSp's
+/// contiguous placement.
 fn bench_frame_alloc(b: &Bench) {
     use uvm_mem::FrameAllocator;
-    use uvm_types::BASIC_BLOCK_ORDER;
 
     const FRAMES: u64 = 4096; // eight 2 MB regions
 
@@ -154,24 +153,9 @@ fn bench_frame_alloc(b: &Bench) {
         alloc.free(f).expect("just allocated");
     });
 
-    // Split/merge cycle: carving a 64 KB block out of a free 2 MB
-    // buddy splits five levels down; freeing it merges five levels
-    // back up, restoring the order-9 block for the next iteration.
-    let mut alloc = FrameAllocator::with_frames(FRAMES);
-    let base = alloc.reserve_region().expect("capacity for a region");
-    alloc.release_region(base); // park a free order-9 block
-    b.bench("frames/split_merge_64k_of_2mb", || {
-        let block = alloc
-            .allocate_block(BASIC_BLOCK_ORDER)
-            .expect("order-9 block is free");
-        alloc
-            .free_block(block, BASIC_BLOCK_ORDER)
-            .expect("just allocated");
-    });
-
     // MOSp's placement cycle: soft-reserve a 2 MB region, carve all
     // 512 frames page-by-page, free them back into the region mask,
-    // and release (a fully-free release recycles the order-9 block).
+    // and release (a fully-free release recycles the 2 MB block).
     let mut alloc = FrameAllocator::with_frames(FRAMES);
     let mut held = Vec::with_capacity(512);
     b.bench("frames/region_reserve_carve_release_2mb", || {

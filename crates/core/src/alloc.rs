@@ -210,11 +210,6 @@ impl Allocations {
         self.allocs.last().map_or(0, |a| a.end_page().index())
     }
 
-    /// Total rounded (migratable) bytes across allocations.
-    pub fn total_rounded(&self) -> Bytes {
-        self.allocs.iter().map(|a| a.rounded()).sum()
-    }
-
     /// Serializes the registry for a checkpoint: each allocation's
     /// requested size (bases and tree layout are a pure function of
     /// the allocation sequence) plus every tree's valid counts.
@@ -341,7 +336,6 @@ mod tests {
         r.allocate(Bytes::mib(2));
         r.allocate(Bytes::kib(100));
         assert_eq!(r.total_requested(), Bytes::mib(2) + Bytes::kib(100));
-        assert_eq!(r.total_rounded(), Bytes::mib(2) + Bytes::kib(128));
         assert_eq!(r.iter().count(), 2);
     }
 

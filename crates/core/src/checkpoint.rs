@@ -31,7 +31,7 @@ pub const CHECKPOINT_MAGIC: &[u8; 4] = b"UVMC";
 
 /// Current container format revision. Bump on any change to the
 /// payload layout; readers reject every other value.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

@@ -9,9 +9,10 @@ use crate::spec::PolicySpec;
 /// Configuration of the UVM driver model.
 ///
 /// Defaults follow the paper's simulator setup (Table 2): 45 µs
-/// far-fault handling latency, 100-cycle page-table walk, TBNp
-/// prefetching, LRU 4 KB eviction, unlimited memory (no
-/// over-subscription), no free-page buffer, no LRU reservation.
+/// far-fault handling latency, TBNp prefetching, LRU 4 KB eviction,
+/// unlimited memory (no over-subscription), no free-page buffer, no
+/// LRU reservation. The 100-cycle page walk and the 90 µs prefetch
+/// congestion cap are fixed constants of the engine and the GMMU.
 ///
 /// # Examples
 ///
@@ -40,8 +41,6 @@ pub struct UvmConfig {
     /// Far-fault handling latency paid per fault by the host runtime
     /// (45 µs measured on the GTX 1080ti, Sec. 6.1).
     pub fault_latency: Duration,
-    /// GPU page-table walk latency (100 core cycles, Table 2).
-    pub walk_latency: Duration,
     /// If `true`, the hardware prefetcher is disabled permanently the
     /// first time device memory fills (the Fig. 6 / Fig. 9 setup:
     /// "upon over-subscription, hardware prefetcher is disabled").
@@ -62,13 +61,6 @@ pub struct UvmConfig {
     /// irrespective of clean/dirty (Sec. 5.1). `false` (the paper's
     /// choice) trades extra write traffic for fewer, larger transfers.
     pub writeback_dirty_only: bool,
-    /// Prefetch congestion cap: when the PCI-e read channel's backlog
-    /// exceeds this duration, the prefetcher is skipped for the fault
-    /// (demand migration only). Prefetching is opportunistic — it must
-    /// never push demand-migration latency unboundedly; without this
-    /// throttle a saturated link lets eviction decisions race
-    /// arbitrarily far ahead of data arrival.
-    pub prefetch_congestion_cap: Duration,
     /// Number of far-faults the host runtime can handle concurrently.
     /// The CUDA driver drains its fault buffer in batches and walks
     /// faults with multiple threads (the paper adopts the
@@ -89,13 +81,11 @@ impl Default for UvmConfig {
             prefetch: PolicySpec::new("TBNp"),
             evict: PolicySpec::new("LRU-4KB"),
             fault_latency: Duration::from_micros(45.0),
-            walk_latency: Duration::from_cycles(100),
             disable_prefetch_on_oversubscription: false,
             free_buffer_frac: 0.0,
             reserve_frac: 0.0,
             rng_seed: 0x5eed_cafe,
             writeback_dirty_only: false,
-            prefetch_congestion_cap: Duration::from_micros(90.0),
             fault_lanes: 8,
             fault_plan: FaultPlan::none(),
         }
@@ -163,12 +153,6 @@ impl UvmConfig {
         self
     }
 
-    /// Sets the prefetch congestion cap (see the field docs).
-    pub fn with_prefetch_congestion_cap(mut self, cap: Duration) -> Self {
-        self.prefetch_congestion_cap = cap;
-        self
-    }
-
     /// Sets the number of concurrent fault-handling lanes.
     ///
     /// # Panics
@@ -196,7 +180,6 @@ mod tests {
     fn defaults_match_table2() {
         let cfg = UvmConfig::default();
         assert!((cfg.fault_latency.as_micros() - 45.0).abs() < 0.01);
-        assert_eq!(cfg.walk_latency, Duration::from_cycles(100));
         assert_eq!(cfg.capacity, None);
         assert_eq!(cfg.free_buffer_frac, 0.0);
         assert_eq!(cfg.reserve_frac, 0.0);

@@ -2,8 +2,10 @@
 //! accounting, transfer-group scheduling, and write-back.
 //!
 //! This is the component the whole paper studies. The GPU engine calls
-//! [`Gmmu::handle_fault`] for every distinct far-fault (duplicates are
-//! merged in the MSHRs before reaching the driver); the driver
+//! [`Gmmu::handle_fault`] for every distinct far-fault (a duplicate
+//! fault on a page whose migration is in flight never reaches the
+//! driver: the engine waits on [`Gmmu::ready_time`] instead); the
+//! driver
 //!
 //! 1. pays the far-fault handling latency (45 µs, serialized across
 //!    faults — the host runtime handles one fault at a time),
@@ -54,6 +56,14 @@ use crate::spec::PolicySpec;
 use crate::stats::UvmStats;
 use crate::tree::AllocTree;
 use crate::view::{ResidencyView, PIN_NONE, PIN_SOFT};
+
+/// Prefetch congestion cap: when the PCI-e read channel's backlog
+/// exceeds this, the prefetcher is skipped for the fault (demand
+/// migration only). Prefetching is opportunistic — it must never push
+/// demand-migration latency unboundedly; without this throttle a
+/// saturated link lets eviction decisions race arbitrarily far ahead
+/// of data arrival.
+const PREFETCH_CONGESTION_CAP: Duration = Duration::from_micros(90.0);
 
 /// The result of servicing one far-fault.
 #[derive(Clone, Debug)]
@@ -502,10 +512,10 @@ impl Gmmu {
         // (Sec. 5): evicting 64 KB–1 MB for one demand page leaves
         // room for the matching prefetch.
         // Prefetch is throttled when the read channel is congested:
-        // a backlog beyond the configured cap means prefetch traffic
-        // is already outpacing the link.
+        // a backlog beyond the cap means prefetch traffic is already
+        // outpacing the link.
         let backlog = self.read_chan.next_free().since(handled);
-        let congested = backlog > self.cfg.prefetch_congestion_cap;
+        let congested = backlog > PREFETCH_CONGESTION_CAP;
         let mut prefetch = if self.prefetch_disabled || congested {
             Vec::new()
         } else {
@@ -2419,11 +2429,7 @@ mod tests {
         // Saturate the read channel with a user-directed bulk copy,
         // then fault: the prefetcher must stand down (demand-only)
         // until the backlog drains below the congestion cap.
-        let mut g = Gmmu::new(
-            UvmConfig::default()
-                .with_prefetch(PrefetchPolicy::SequentialLocal)
-                .with_prefetch_congestion_cap(Duration::from_micros(50.0)),
-        );
+        let mut g = Gmmu::new(UvmConfig::default().with_prefetch(PrefetchPolicy::SequentialLocal));
         let big = g.malloc_managed(Bytes::mib(8));
         let other = g.malloc_managed(Bytes::mib(2));
         // ~8 MiB of transfers = ~730us of backlog at peak bandwidth.

@@ -147,17 +147,6 @@ impl<K: DenseKey> LruQueue<K> {
         (self.head != NIL).then(|| &self.slots[self.head as usize].key)
     }
 
-    /// Removes and returns the least-recently-used element.
-    pub fn pop_lru(&mut self) -> Option<K> {
-        if self.head == NIL {
-            return None;
-        }
-        let slot = self.head;
-        let key = self.slots[slot as usize].key;
-        self.release(slot);
-        Some(key)
-    }
-
     /// Iterates from least- to most-recently used.
     pub fn iter(&self) -> impl Iterator<Item = &K> {
         let mut cur = self.head;
@@ -169,12 +158,6 @@ impl<K: DenseKey> LruQueue<K> {
             cur = slot.next;
             Some(&slot.key)
         })
-    }
-
-    /// The `skip`-th least-recently-used element (0 = the LRU), used to
-    /// implement reservation of the top of the LRU list.
-    pub fn peek_nth(&self, skip: usize) -> Option<&K> {
-        self.iter().nth(skip)
     }
 
     /// Number of elements.
@@ -251,6 +234,17 @@ impl<K: DenseKey> LruQueue<K> {
 mod tests {
     use super::*;
 
+    /// Removes every element from the LRU end, returning them in
+    /// eviction order.
+    fn drain(q: &mut LruQueue<u64>) -> Vec<u64> {
+        let mut drained = Vec::new();
+        while let Some(&k) = q.peek_lru() {
+            assert!(q.remove(&k));
+            drained.push(k);
+        }
+        drained
+    }
+
     #[test]
     fn touch_orders_by_recency() {
         let mut q: LruQueue<u64> = LruQueue::new();
@@ -260,10 +254,8 @@ mod tests {
         assert_eq!(q.peek_lru(), Some(&1));
         q.touch(1);
         assert_eq!(q.peek_lru(), Some(&2));
-        assert_eq!(q.pop_lru(), Some(2));
-        assert_eq!(q.pop_lru(), Some(3));
-        assert_eq!(q.pop_lru(), Some(1));
-        assert_eq!(q.pop_lru(), None);
+        assert_eq!(drain(&mut q), vec![2, 3, 1]);
+        assert_eq!(q.peek_lru(), None);
     }
 
     #[test]
@@ -301,17 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_nth_skips_reserved_prefix() {
-        let mut q: LruQueue<u64> = LruQueue::new();
-        for i in 0..10 {
-            q.touch(i);
-        }
-        assert_eq!(q.peek_nth(0), Some(&0));
-        assert_eq!(q.peek_nth(3), Some(&3));
-        assert_eq!(q.peek_nth(10), None);
-    }
-
-    #[test]
     fn slot_recycling_keeps_order_through_churn() {
         // Interleaved removes and touches force slab reuse; order must
         // stay exactly recency order throughout.
@@ -328,12 +309,8 @@ mod tests {
         let order: Vec<_> = q.iter().copied().collect();
         assert_eq!(order, vec![2, 4, 5, 6, 9, 1, 10]);
         assert_eq!(q.len(), 7);
-        // Drain fully via pop_lru in the same order.
-        let mut drained = Vec::new();
-        while let Some(k) = q.pop_lru() {
-            drained.push(k);
-        }
-        assert_eq!(drained, order);
+        // Drain fully from the LRU end in the same order.
+        assert_eq!(drain(&mut q), order);
         assert!(q.is_empty());
     }
 

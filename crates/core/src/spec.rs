@@ -89,11 +89,6 @@ impl PolicySpec {
             .ok()
             .map(|i| self.params[i].1.as_str())
     }
-
-    /// `true` if the spec carries no parameters (a bare name).
-    pub fn is_bare(&self) -> bool {
-        self.params.is_empty()
-    }
 }
 
 impl fmt::Display for PolicySpec {
@@ -209,7 +204,7 @@ mod tests {
         for name in ["TBNp", "none", "LRU-4KB", "lru", "tree"] {
             let spec: PolicySpec = name.parse().unwrap();
             assert_eq!(spec.name(), name);
-            assert!(spec.is_bare());
+            assert!(spec.params().is_empty());
             assert_eq!(spec.to_string(), name);
             assert_eq!(spec.to_string().parse::<PolicySpec>().unwrap(), spec);
         }

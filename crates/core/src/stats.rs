@@ -12,7 +12,7 @@ pub struct UvmStats {
     /// ablation).
     pub accesses: u64,
     /// Distinct far-faults serviced by the driver (Fig. 5). Duplicate
-    /// faults merged in the MSHRs do not count.
+    /// faults that wait on an in-flight migration do not count.
     pub far_faults: u64,
     /// Pages migrated host→device for any reason.
     pub pages_migrated: u64,
@@ -46,7 +46,7 @@ pub struct UvmStats {
 
 /// Counters for the huge-page mechanism: 2 MB coalesce/splinter
 /// transitions driven by the policy hooks, plus the frame allocator's
-/// buddy split/merge and soft-region fragmentation activity (mirrored
+/// block split/merge and soft-region fragmentation activity (mirrored
 /// from [`FrameAllocStats`](uvm_mem::FrameAllocStats) by the GMMU).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HugePageStats {
@@ -59,9 +59,11 @@ pub struct HugePageStats {
     /// Huge mappings the mechanism force-splintered because eviction
     /// reached into a still-coalesced large page.
     pub forced_splinters: u64,
-    /// Buddy blocks split by the frame allocator.
+    /// Free blocks split by the frame allocator to serve single-frame
+    /// demand (one count per halving).
     pub alloc_splits: u64,
-    /// Buddy pairs merged by the frame allocator.
+    /// Released fully free 2 MB regions returned to the frame
+    /// allocator's block list.
     pub alloc_merges: u64,
     /// Soft 2 MB regions reserved for contiguous placement.
     pub regions_reserved: u64,
@@ -108,15 +110,6 @@ impl UvmStats {
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fraction of migrated pages that were prefetched, in `0..=1`.
-    pub fn prefetch_fraction(&self) -> f64 {
-        if self.pages_migrated == 0 {
-            0.0
-        } else {
-            self.pages_prefetched as f64 / self.pages_migrated as f64
-        }
     }
 
     /// Prefetch accuracy: of the prefetched pages whose fate is known
@@ -207,17 +200,6 @@ mod tests {
         let s = UvmStats::new();
         assert_eq!(s, UvmStats::default());
         assert_eq!(s.far_faults, 0);
-        assert_eq!(s.prefetch_fraction(), 0.0);
-    }
-
-    #[test]
-    fn prefetch_fraction_computed() {
-        let s = UvmStats {
-            pages_migrated: 100,
-            pages_prefetched: 75,
-            ..UvmStats::default()
-        };
-        assert!((s.prefetch_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -14,10 +14,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use uvm_core::Gmmu;
-use uvm_mem::{RadixWalkModel, ShootdownDirectory, Tlb, TlbLookup};
+use uvm_mem::{ShootdownDirectory, Tlb, TlbLookup};
 use uvm_types::{Cycle, Duration, PageId};
 
 use crate::kernel::{Access, KernelSpec};
+
+/// GPU page-table walk latency charged on every TLB miss (100 core
+/// cycles, the paper's Table 2).
+const WALK_LATENCY: Duration = Duration::from_cycles(100);
 
 /// One completed page access in a captured trace (the raw data of the
 /// paper's Fig. 12 scatter, with warp attribution for per-warp
@@ -51,10 +55,6 @@ pub struct GpuConfig {
     /// cycles (`None` = no limit). Guards against pathological
     /// eviction/refault cycles in exploratory configurations.
     pub max_kernel_cycles: Option<u64>,
-    /// Optional detailed page-walk model: `Some((per-level latency,
-    /// walk-cache entries))` replaces the flat Table 2 walk latency
-    /// with a 4-level radix walk ([`RadixWalkModel`]).
-    pub radix_walk: Option<(Duration, usize)>,
 }
 
 impl Default for GpuConfig {
@@ -66,7 +66,6 @@ impl Default for GpuConfig {
             mem_latency: Duration::from_cycles(300),
             compute_delay: Duration::from_cycles(20),
             max_kernel_cycles: None,
-            radix_walk: None,
         }
     }
 }
@@ -174,7 +173,6 @@ pub struct Engine {
     /// Flattened access streams of the running kernel; storage reused
     /// across launches.
     arena: Vec<Access>,
-    walker: Option<RadixWalkModel>,
     now: Cycle,
     trace: Option<Vec<TraceEvent>>,
     /// `UVM_DEBUG_FAULTS` presence, sampled once at construction.
@@ -193,9 +191,6 @@ impl Engine {
         let tlbs = (0..cfg.num_sms)
             .map(|_| Tlb::new(cfg.tlb_entries))
             .collect();
-        let walker = cfg
-            .radix_walk
-            .map(|(per_level, entries)| RadixWalkModel::new(per_level, entries));
         let shootdown = ShootdownDirectory::new(cfg.num_sms);
         Engine {
             gmmu,
@@ -204,7 +199,6 @@ impl Engine {
             shootdown,
             queue: BinaryHeap::new(),
             arena: Vec::new(),
-            walker,
             now: Cycle::ZERO,
             trace: None,
             debug_faults: std::env::var_os("UVM_DEBUG_FAULTS").is_some(),
@@ -388,11 +382,7 @@ impl Engine {
                         .push(keys.pack(done + self.cfg.compute_delay, rank));
                 }
                 TlbLookup::Miss => {
-                    let walk_latency = match &mut self.walker {
-                        Some(w) => w.walk(page),
-                        None => self.gmmu.config().walk_latency,
-                    };
-                    let walked = t + Duration::from_cycles(1) + walk_latency;
+                    let walked = t + Duration::from_cycles(1) + WALK_LATENCY;
                     if !self.gmmu.is_resident(page) {
                         // Far-fault: the driver migrates (and possibly
                         // prefetches / evicts); the access replays when
@@ -419,9 +409,9 @@ impl Engine {
                         }
                         self.queue.push(keys.pack(res.fault_page_ready(), rank));
                     } else if let Some(ready) = self.gmmu.ready_time(page, walked) {
-                        // In-flight prefetch: stall until the data lands
-                        // (the MSHR-merge path — the migration already
-                        // has an owner).
+                        // In-flight migration: stall until the data lands
+                        // (the duplicate-fault merge — the migration
+                        // already has an owner).
                         self.queue.push(keys.pack(ready, rank));
                     } else if let Some(epoch) =
                         self.gmmu.huge_translation(page.large_page(), walked)
@@ -466,7 +456,7 @@ impl Engine {
     /// Everything the simulation's future depends on is captured: the
     /// GMMU (page/frame tables, policy state, PCI-e channel backlog,
     /// RNG streams, statistics), all per-SM TLBs, the shootdown
-    /// directory, the walk-cache model, the clock, and the trace
+    /// directory, the clock, and the trace
     /// buffer. The warp-event heap is not captured: it is empty
     /// between launches. Per-warp arena cursors are kernel-
     /// local (the access arena is recompiled per launch), which is why
@@ -491,10 +481,10 @@ impl Engine {
     /// Only legal at a kernel boundary, like [`snapshot`](Self::snapshot):
     /// per-warp cursors are kernel-local, so the event queue must be
     /// drained. The GPU configuration is *not* stored — the restore
-    /// path rebuilds the engine from the same `RunOptions` — but
-    /// structural parameters (SM count, radix-walk presence) are
-    /// cross-checked on load so a checkpoint can never be restored
-    /// into a differently shaped machine.
+    /// path rebuilds the engine from the same `RunOptions` — but the
+    /// structural parameter (the SM count) is cross-checked on load so
+    /// a checkpoint can never be restored into a differently shaped
+    /// machine.
     ///
     /// # Panics
     ///
@@ -511,13 +501,6 @@ impl Engine {
             tlb.save_state(w);
         }
         self.shootdown.save_state(w);
-        match &self.walker {
-            Some(walker) => {
-                w.put_bool(true);
-                walker.save_state(w);
-            }
-            None => w.put_bool(false),
-        }
         match &self.trace {
             Some(trace) => {
                 w.put_bool(true);
@@ -560,21 +543,6 @@ impl Engine {
                 self.shootdown.num_units(),
                 self.cfg.num_sms
             )));
-        }
-        let has_walker = r.get_bool()?;
-        if has_walker != self.walker.is_some() {
-            return Err(CheckpointError::Incompatible(format!(
-                "checkpoint {} a radix-walk model but this run {}",
-                if has_walker { "carries" } else { "lacks" },
-                if self.walker.is_some() {
-                    "expects one"
-                } else {
-                    "does not"
-                },
-            )));
-        }
-        if has_walker {
-            self.walker = Some(RadixWalkModel::load_state(r)?);
         }
         self.trace = if r.get_bool()? {
             let n = r.get_count()?;
@@ -892,29 +860,6 @@ mod tests {
         // Trace is consumed but capture stays on.
         e.run_kernel(KernelSpec::new("t2").with_block(seq_reads(base, 2)));
         assert_eq!(e.take_trace().len(), 2);
-    }
-
-    #[test]
-    fn radix_walk_model_shortens_warm_walks() {
-        // Same kernel, flat vs radix walks: the radix walker's warm
-        // walks (25 cycles) beat the flat 100-cycle walk for a
-        // sequential scan, so the run is strictly faster.
-        let run = |radix: Option<(Duration, usize)>| {
-            let mut gmmu =
-                Gmmu::new(UvmConfig::default().with_prefetch(PrefetchPolicy::SequentialLocal));
-            let base = gmmu.malloc_managed(Bytes::mib(1));
-            let mut e = Engine::new(
-                gmmu,
-                GpuConfig {
-                    radix_walk: radix,
-                    ..GpuConfig::default()
-                },
-            );
-            e.run_kernel(KernelSpec::new("scan").with_block(seq_reads(base, 256)))
-        };
-        let flat = run(None);
-        let radix = run(Some((Duration::from_cycles(25), 32)));
-        assert!(radix < flat, "radix {radix} vs flat {flat}");
     }
 
     #[test]

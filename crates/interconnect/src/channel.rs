@@ -140,11 +140,6 @@ impl PcieChannel {
         self.next_free
     }
 
-    /// `true` if the link is idle at cycle `now`.
-    pub fn is_idle_at(&self, now: Cycle) -> bool {
-        self.next_free <= now
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
@@ -227,8 +222,7 @@ mod tests {
         let late = a.finish + Duration::from_cycles(1_000_000);
         let b = ch.schedule(late, Bytes::kib(4));
         assert_eq!(b.start, late);
-        assert!(ch.is_idle_at(b.finish));
-        assert!(!ch.is_idle_at(b.start));
+        assert_eq!(ch.next_free(), b.finish);
     }
 
     #[test]

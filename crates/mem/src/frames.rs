@@ -5,39 +5,37 @@
 //! allocator is where that budget is enforced. Frames are 4 KB, the
 //! page/migration granularity.
 //!
-//! # Contiguity-preserving buddy structure
+//! # Single frames plus soft 2 MB regions
 //!
-//! [`FrameAllocator`] is a buddy-style allocator over power-of-two
-//! *orders* from a single 4 KB frame (order 0) up to a 2 MB large page
-//! (order [`MAX_FRAME_ORDER`] = 9, 512 frames). The huge-page policy
-//! family needs physically contiguous, aligned 2 MB frame ranges
-//! before the GMMU may coalesce a large page into one huge mapping
-//! ("Mosaic"); the allocator supplies that contiguity two ways:
+//! [`FrameAllocator`] hands out single 4 KB frames. The huge-page
+//! policy family also needs physically contiguous, aligned 2 MB frame
+//! ranges before the GMMU may coalesce a large page into one huge
+//! mapping ("Mosaic"); the allocator supplies that contiguity with
+//! **soft region reservation**
+//! ([`reserve_region`](FrameAllocator::reserve_region)): on first touch
+//! of a large page's range the GMMU soft-reserves a 512-frame aligned
+//! region. Reserved frames still count as free and remain *stealable*
+//! by ordinary single-frame demand (a fragmentation event, counted in
+//! [`FrameAllocStats::region_steals`]), but as long as nothing steals
+//! them, [`allocate_in_region`](FrameAllocator::allocate_in_region)
+//! places each page at `base + offset`, making the fully-resident large
+//! page contiguous by construction.
 //!
-//! - **Hard block allocation** ([`allocate_block`](FrameAllocator::allocate_block) /
-//!   [`free_block`](FrameAllocator::free_block)): classic buddy
-//!   split/merge with counters in [`FrameAllocStats`]. Frees at order
-//!   ≥ 1 eagerly merge with a free buddy; single-frame frees stay on
-//!   the legacy LIFO list and never merge (see below).
-//! - **Soft region reservation** ([`reserve_region`](FrameAllocator::reserve_region)):
-//!   on first touch of a large page's range the GMMU soft-reserves a
-//!   512-frame aligned region. Reserved frames still count as free and
-//!   remain *stealable* by ordinary single-frame demand (a
-//!   fragmentation event, counted in
-//!   [`FrameAllocStats::region_steals`]), but as long as nothing
-//!   steals them, [`allocate_in_region`](FrameAllocator::allocate_in_region)
-//!   places each page at `base + offset`, making the fully-resident
-//!   large page contiguous by construction.
+//! A released, fully free region becomes a free 2 MB block that the
+//! next reservation reuses whole. Once the frontier and the free list
+//! run dry, single-frame demand splits such a block buddy-style (one
+//! [`FrameAllocStats::splits`] count per halving), so its frames come
+//! out in ascending order from the block base.
 //!
 //! # Legacy compatibility invariant
 //!
 //! The single-frame demand path is *byte-identical* to the flat
 //! free-list allocator this type replaced: `allocate()` pops the
-//! order-0 free list LIFO, else takes the next frontier frame;
-//! `free()` pushes onto that list. Higher-order free lists and regions
-//! only come into play when block/region APIs are exercised — which
-//! only the huge-page policies do — so every pre-existing policy sees
-//! the exact frame sequence it always has. A differential test against
+//! single-frame free list LIFO, else takes the next frontier frame;
+//! `free()` pushes onto that list. Free blocks and regions only come
+//! into play when the region API is exercised — which only the
+//! huge-page policies do — so every pre-existing policy sees the exact
+//! frame sequence it always has. A differential test against
 //! the old implementation, kept verbatim in this module's tests as
 //! `ReferenceFrameAllocator`, pins the equivalence, which is what
 //! makes the 20 golden fixtures provably safe across this refactor.
@@ -49,7 +47,7 @@ use std::fmt;
 use uvm_types::{Bytes, LARGE_PAGE_ORDER, PAGE_SIZE};
 
 /// Highest buddy order: 2^9 frames = 512 × 4 KB = one 2 MB large page.
-pub const MAX_FRAME_ORDER: u32 = LARGE_PAGE_ORDER;
+pub(crate) const MAX_FRAME_ORDER: u32 = LARGE_PAGE_ORDER;
 
 /// Frames per soft-reserved region (one 2 MB large page).
 const REGION_FRAMES: u64 = 1 << MAX_FRAME_ORDER;
@@ -96,17 +94,17 @@ impl FrameId {
     }
 }
 
-/// Split/merge/fragmentation counters for the buddy allocator.
+/// Split/merge/fragmentation counters for the region machinery.
 ///
-/// All four stay zero unless the block or region APIs are exercised,
-/// i.e. unless a huge-page policy is active.
+/// All four stay zero unless the region API is exercised, i.e. unless
+/// a huge-page policy is active.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrameAllocStats {
-    /// Buddy blocks split into two halves (one count per level).
+    /// Free blocks split into two halves to serve single-frame demand
+    /// (one count per level; fully consuming a 2 MB block takes 511).
     pub splits: u64,
-    /// Buddy pairs merged back into their parent (one count per level;
-    /// a released fully-free region re-entering the order-9 list also
-    /// counts one merge).
+    /// Released fully free regions re-entering the free 2 MB block
+    /// list (one count each).
     pub merges: u64,
     /// Soft 2 MB regions reserved.
     pub regions_reserved: u64,
@@ -164,8 +162,8 @@ impl Region {
 }
 
 /// A fixed-capacity, contiguity-preserving allocator of 4 KB
-/// device-memory frames (see the module docs for the buddy/region
-/// structure and the legacy-compatibility invariant).
+/// device-memory frames (see the module docs for the region structure
+/// and the legacy-compatibility invariant).
 ///
 /// # Examples
 ///
@@ -183,10 +181,12 @@ impl Region {
 #[derive(Clone, Debug)]
 pub struct FrameAllocator {
     capacity: u64,
-    /// Order-0 free list, LIFO — the legacy demand path.
+    /// Single-frame free list, LIFO — the legacy demand path.
     free_list: Vec<FrameId>,
     /// Free aligned blocks per order 1..=MAX_FRAME_ORDER (index 0 is
-    /// unused; order-0 frames live on `free_list`).
+    /// unused; single frames live on `free_list`). Order 9 holds
+    /// released whole regions; lower orders hold the halves left by
+    /// [`allocate_by_split`](Self::allocate_by_split).
     free_blocks: Vec<Vec<u64>>,
     next_unused: u64,
     in_use: u64,
@@ -218,10 +218,10 @@ impl FrameAllocator {
 
     /// Allocates one frame, or `None` if the budget is exhausted.
     ///
-    /// Source precedence: the order-0 LIFO list, then the frontier
-    /// (exactly the legacy allocator), then splitting a free buddy
+    /// Source precedence: the single-frame LIFO list, then the
+    /// frontier (exactly the legacy allocator), then splitting a free
     /// block, then stealing from a soft-reserved region. The last two
-    /// sources only exist when huge-page APIs were exercised, so
+    /// sources only exist when the region API was exercised, so
     /// `free_frames() > 0` always implies success.
     pub fn allocate(&mut self) -> Option<FrameId> {
         let frame = if let Some(f) = self.free_list.pop() {
@@ -241,7 +241,7 @@ impl FrameAllocator {
 
     /// Returns `frame` to the free pool: back into its soft-reserved
     /// region if it has one (re-enabling contiguous placement there),
-    /// else onto the legacy order-0 LIFO list.
+    /// else onto the legacy single-frame LIFO list.
     ///
     /// # Errors
     ///
@@ -272,8 +272,8 @@ impl FrameAllocator {
     /// call): [`allocate_in_region`](Self::allocate_in_region) claims
     /// them one page at a time, and plain [`allocate`](Self::allocate)
     /// may steal them as a last resort. Prefers a recycled whole free
-    /// order-9 block, then carves from the frontier (frames skipped by
-    /// alignment go to the order-0 free list).
+    /// 2 MB block, then carves from the frontier (frames skipped by
+    /// alignment go to the single-frame free list).
     pub fn reserve_region(&mut self) -> Option<u64> {
         let base = if let Some(base) = self.free_blocks[MAX_FRAME_ORDER as usize].pop() {
             base
@@ -307,10 +307,10 @@ impl FrameAllocator {
         Some(FrameId(base + offset))
     }
 
-    /// Drops the soft reservation at `base`. A fully-free region merges
-    /// back into the order-9 block list (reusable by the next
+    /// Drops the soft reservation at `base`. A fully-free region goes
+    /// back onto the free 2 MB block list (reusable by the next
     /// [`reserve_region`](Self::reserve_region)); a partially-stolen one
-    /// spills its remaining free frames onto the order-0 list.
+    /// spills its remaining free frames onto the single-frame list.
     pub fn release_region(&mut self, base: u64) {
         let Some(region) = self.regions.remove(&base) else {
             return;
@@ -330,92 +330,6 @@ impl FrameAllocator {
         self.regions.contains_key(&base)
     }
 
-    /// Hard-allocates an aligned block of `2^order` contiguous frames
-    /// and returns its base frame.
-    ///
-    /// Tries an exact-order free block, then splits the smallest larger
-    /// free block down (counting one split per level), then carves an
-    /// aligned block from the frontier. Does *not* assemble scattered
-    /// singles: contiguity that fragmentation destroyed cannot be
-    /// conjured back.
-    pub fn allocate_block(&mut self, order: u32) -> Option<FrameId> {
-        assert!(order <= MAX_FRAME_ORDER, "order {order} out of range");
-        if order == 0 {
-            return self.allocate();
-        }
-        let len = 1u64 << order;
-        let base = if let Some(base) = self.free_blocks[order as usize].pop() {
-            base
-        } else if let Some(base) = self.split_down_to(order) {
-            base
-        } else {
-            let base = self.next_unused.next_multiple_of(len);
-            if base + len > self.capacity {
-                return None;
-            }
-            for skipped in self.next_unused..base {
-                self.free_list.push(FrameId(skipped));
-            }
-            self.next_unused = base + len;
-            base
-        };
-        self.in_use += len;
-        Some(FrameId(base))
-    }
-
-    /// Frees a block previously returned by
-    /// [`allocate_block`](Self::allocate_block), eagerly merging with
-    /// free buddies back up the order ladder (one merge counted per
-    /// level). Order-0 frees go through the legacy lazy path and never
-    /// merge.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`free`](Self::free), applied to the whole
-    /// block; `base` must be aligned to the block size.
-    pub fn free_block(&mut self, base: FrameId, order: u32) -> Result<(), FrameError> {
-        assert!(order <= MAX_FRAME_ORDER, "order {order} out of range");
-        if order == 0 {
-            return self.free(base);
-        }
-        let len = 1u64 << order;
-        assert!(base.0.is_multiple_of(len), "unaligned block free");
-        if self.in_use < len {
-            return Err(FrameError::NothingAllocated);
-        }
-        if base.0 + len > self.next_unused {
-            return Err(FrameError::NeverAllocated(base));
-        }
-        self.in_use -= len;
-        let mut base = base.0;
-        let mut order = order;
-        while order < MAX_FRAME_ORDER {
-            let buddy = base ^ (1u64 << order);
-            let list = &mut self.free_blocks[order as usize];
-            let Some(pos) = list.iter().position(|&b| b == buddy) else {
-                break;
-            };
-            list.swap_remove(pos);
-            base = base.min(buddy);
-            order += 1;
-            self.stats.merges += 1;
-        }
-        self.free_blocks[order as usize].push(base);
-        Ok(())
-    }
-
-    /// Number of free blocks held at each order (`[0]` is the order-0
-    /// free list; frontier and region frames are not counted). The
-    /// split/merge property tests round-trip against this.
-    pub fn free_order_histogram(&self) -> [u64; MAX_FRAME_ORDER as usize + 1] {
-        let mut histogram = [0u64; MAX_FRAME_ORDER as usize + 1];
-        histogram[0] = self.free_list.len() as u64;
-        for (order, list) in self.free_blocks.iter().enumerate().skip(1) {
-            histogram[order] = list.len() as u64;
-        }
-        histogram
-    }
-
     /// Split/merge/fragmentation counters.
     pub fn stats(&self) -> &FrameAllocStats {
         &self.stats
@@ -431,8 +345,8 @@ impl FrameAllocator {
         self.in_use
     }
 
-    /// Frames still available (wherever they live: free lists, the
-    /// frontier, buddy blocks, or unclaimed region slots).
+    /// Frames still available (wherever they live: the free list, the
+    /// frontier, free blocks, or unclaimed region slots).
     pub fn free_frames(&self) -> u64 {
         self.capacity - self.in_use
     }
@@ -451,7 +365,9 @@ impl FrameAllocator {
         }
     }
 
-    /// Takes one frame by splitting the smallest free buddy block.
+    /// Takes one frame by splitting the smallest free block: its base
+    /// is returned, its buddy halves stay on the block lists and the
+    /// last single buddy goes onto the free list.
     fn allocate_by_split(&mut self) -> Option<FrameId> {
         let from = (1..=MAX_FRAME_ORDER).find(|&o| !self.free_blocks[o as usize].is_empty())?;
         let base = self.free_blocks[from as usize].pop().expect("checked");
@@ -466,23 +382,8 @@ impl FrameAllocator {
         Some(FrameId(base))
     }
 
-    /// Splits the smallest free block of order > `target` down to
-    /// `target`, returning the block base.
-    fn split_down_to(&mut self, target: u32) -> Option<u64> {
-        let from =
-            (target + 1..=MAX_FRAME_ORDER).find(|&o| !self.free_blocks[o as usize].is_empty())?;
-        let base = self.free_blocks[from as usize].pop().expect("checked");
-        let mut order = from;
-        while order > target {
-            order -= 1;
-            self.free_blocks[order as usize].push(base + (1 << order));
-            self.stats.splits += 1;
-        }
-        Some(base)
-    }
-
     /// Serializes the complete allocator state for a checkpoint. The
-    /// order-0 free list and per-order block lists are written in their
+    /// single-frame free list and per-order block lists are written in their
     /// exact LIFO order — `allocate()` pops from the back, so list
     /// order is schedule-observable and must round-trip verbatim.
     pub fn save_state(&self, w: &mut uvm_types::codec::ByteWriter) {
@@ -516,6 +417,14 @@ impl FrameAllocator {
 
     /// Rebuilds an allocator from a [`save_state`](Self::save_state)
     /// image.
+    ///
+    /// # Errors
+    ///
+    /// Besides malformed bytes, rejects an image whose counters would
+    /// let the allocator hand out a frame twice or past its budget: a
+    /// frontier or in-use count above the capacity, a free-list frame
+    /// or free block at or past the frontier, or a region base that is
+    /// not 512-aligned or whose region runs past the frontier.
     pub fn load_state(
         r: &mut uvm_types::codec::ByteReader<'_>,
     ) -> Result<Self, uvm_types::codec::CodecError> {
@@ -544,10 +453,59 @@ impl FrameAllocator {
         }
         let next_unused = r.get_u64()?;
         let in_use = r.get_u64()?;
+        // Exclusive bound on a count that may equal the capacity.
+        let count_limit = capacity.saturating_add(1);
+        if next_unused > capacity {
+            return Err(CodecError::OutOfRange {
+                what: "frame frontier",
+                value: next_unused,
+                limit: count_limit,
+            });
+        }
+        if in_use > capacity {
+            return Err(CodecError::OutOfRange {
+                what: "frames in use",
+                value: in_use,
+                limit: count_limit,
+            });
+        }
+        if let Some(f) = free_list.iter().find(|f| f.0 >= next_unused) {
+            return Err(CodecError::OutOfRange {
+                what: "free-list frame",
+                value: f.0,
+                limit: next_unused,
+            });
+        }
+        for (order, list) in free_blocks.iter().enumerate().skip(1) {
+            let len = 1u64 << order;
+            if let Some(&base) = list
+                .iter()
+                .find(|&&b| !b.is_multiple_of(len) || b.saturating_add(len) > next_unused)
+            {
+                return Err(CodecError::OutOfRange {
+                    what: "free block base",
+                    value: base,
+                    limit: next_unused.saturating_sub(len - 1),
+                });
+            }
+        }
         let n = r.get_usize()?;
         let mut regions = BTreeMap::new();
         for _ in 0..n {
             let base = r.get_u64()?;
+            if !base.is_multiple_of(REGION_FRAMES) {
+                return Err(CodecError::BadTag {
+                    what: "unaligned region base",
+                    value: base,
+                });
+            }
+            if base.saturating_add(REGION_FRAMES) > next_unused {
+                return Err(CodecError::OutOfRange {
+                    what: "region base",
+                    value: base,
+                    limit: next_unused.saturating_sub(REGION_FRAMES - 1),
+                });
+            }
             let mut free_mask = [0u64; (REGION_FRAMES / 64) as usize];
             for word in &mut free_mask {
                 *word = r.get_u64()?;
@@ -601,6 +559,10 @@ impl FrameAllocator {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
+
     use super::*;
 
     /// The flat free-list allocator this crate shipped before the buddy
@@ -735,50 +697,6 @@ mod tests {
         a.free(f).unwrap();
     }
 
-    // --- buddy blocks ---
-
-    #[test]
-    fn block_allocation_is_aligned_and_counted() {
-        let mut a = FrameAllocator::with_frames(REGION_FRAMES * 2);
-        let b = a.allocate_block(MAX_FRAME_ORDER).unwrap();
-        assert_eq!(b.index() % REGION_FRAMES, 0);
-        assert_eq!(a.used_frames(), REGION_FRAMES);
-        let c = a.allocate_block(4).unwrap();
-        assert_eq!(c.index() % 16, 0);
-        assert_eq!(a.used_frames(), REGION_FRAMES + 16);
-        a.free_block(c, 4).unwrap();
-        a.free_block(b, MAX_FRAME_ORDER).unwrap();
-        assert_eq!(a.used_frames(), 0);
-    }
-
-    #[test]
-    fn split_then_merge_restores_block() {
-        let mut a = FrameAllocator::with_frames(REGION_FRAMES);
-        // Exhaust the frontier into one order-9 block, then free it.
-        let whole = a.allocate_block(MAX_FRAME_ORDER).unwrap();
-        a.free_block(whole, MAX_FRAME_ORDER).unwrap();
-        let before = a.free_order_histogram();
-        assert_eq!(before[MAX_FRAME_ORDER as usize], 1);
-
-        // Splitting an order-4 block out of it takes one split per level.
-        let blk = a.allocate_block(4).unwrap();
-        assert_eq!(a.stats().splits, (MAX_FRAME_ORDER - 4) as u64);
-        // Freeing merges all the way back up.
-        a.free_block(blk, 4).unwrap();
-        assert_eq!(a.stats().merges, (MAX_FRAME_ORDER - 4) as u64);
-        assert_eq!(a.free_order_histogram(), before);
-    }
-
-    #[test]
-    fn order_zero_block_calls_use_legacy_path() {
-        let mut a = FrameAllocator::with_frames(4);
-        let f = a.allocate_block(0).unwrap();
-        assert_eq!(f.index(), 0);
-        a.free_block(f, 0).unwrap();
-        assert_eq!(a.free_order_histogram()[0], 1);
-        assert_eq!(a.stats().splits + a.stats().merges, 0);
-    }
-
     // --- soft regions ---
 
     #[test]
@@ -837,11 +755,44 @@ mod tests {
         let base = a.reserve_region().unwrap();
         let f = a.allocate_in_region(base, 7).unwrap();
         a.release_region(base);
-        // 511 free frames moved to the order-0 list; the in-use one
-        // frees through the legacy path now that the region is gone.
-        assert_eq!(a.free_order_histogram()[0], REGION_FRAMES - 1);
+        assert_eq!(a.stats().merges, 0, "a fragmented region is no block");
+        // The 511 free frames moved to the single-frame list: demand
+        // takes every one of them without splitting anything.
+        let spilled: HashSet<_> = (1..REGION_FRAMES).map(|_| a.allocate().unwrap()).collect();
+        assert_eq!(spilled.len() as u64, REGION_FRAMES - 1);
+        assert!(!spilled.contains(&f));
+        assert!(a.allocate().is_none());
+        assert_eq!(a.stats().splits, 0);
+        // The in-use frame frees through the legacy path now that the
+        // region is gone, and is the next frame handed out.
         a.free(f).unwrap();
-        assert_eq!(a.free_frames(), REGION_FRAMES);
+        assert!(!a.is_region_reserved(base));
+        assert_eq!(a.allocate(), Some(f));
+    }
+
+    #[test]
+    fn released_whole_region_splits_into_ascending_frames() {
+        // One region plus four frames past it. Reserve the region,
+        // take three frontier frames and free one, then release the
+        // region whole.
+        let mut a = FrameAllocator::with_frames(REGION_FRAMES + 4);
+        let base = a.reserve_region().unwrap();
+        let frontier: Vec<_> = (0..3).map(|_| a.allocate().unwrap()).collect();
+        a.free(frontier[1]).unwrap();
+        a.release_region(base);
+        assert_eq!(a.stats().merges, 1);
+        // The free list and the frontier serve first...
+        assert_eq!(a.allocate(), Some(frontier[1]));
+        assert_eq!(a.allocate(), Some(FrameId(REGION_FRAMES + 3)));
+        // ...then the free block splits, one frame at a time, in
+        // ascending order from the region base.
+        for off in 0..REGION_FRAMES {
+            assert_eq!(a.allocate(), Some(FrameId(base + off)), "offset {off}");
+        }
+        assert!(a.allocate().is_none());
+        assert!(a.is_full());
+        assert_eq!(a.stats().splits, REGION_FRAMES - 1);
+        assert_eq!(a.stats().region_steals, 0);
     }
 
     // --- property tests ---
@@ -859,103 +810,75 @@ mod tests {
     }
 
     #[test]
-    fn split_merge_round_trip_restores_free_order_histogram() {
-        let mut a = FrameAllocator::with_frames(REGION_FRAMES * 8);
-        // Move the whole budget out of the frontier into order-9 blocks.
-        let wholes: Vec<_> = (0..8)
-            .map(|_| a.allocate_block(MAX_FRAME_ORDER).unwrap())
-            .collect();
-        for b in wholes {
-            a.free_block(b, MAX_FRAME_ORDER).unwrap();
-        }
-        let initial = a.free_order_histogram();
-
-        let mut rng = Lcg(0x5eed);
-        let mut live: Vec<(FrameId, u32)> = Vec::new();
-        for _ in 0..2_000 {
-            // Orders 1..=9 only: order-0 frees are deliberately lazy
-            // and would not merge back.
-            let order = 1 + (rng.next() % MAX_FRAME_ORDER as u64) as u32;
-            if rng.next().is_multiple_of(2) || live.is_empty() {
-                if let Some(b) = a.allocate_block(order) {
-                    live.push((b, order));
-                }
-            } else {
-                let (b, o) = live.swap_remove((rng.next() % live.len() as u64) as usize);
-                a.free_block(b, o).unwrap();
-            }
-        }
-        for (b, o) in live.drain(..) {
-            a.free_block(b, o).unwrap();
-        }
-        assert_eq!(a.free_order_histogram(), initial);
-        assert!(a.stats().splits > 0 && a.stats().merges > 0);
-    }
-
-    #[test]
     fn churn_never_hands_out_overlapping_frames() {
-        use std::collections::HashSet;
-
-        let mut a = FrameAllocator::with_frames(REGION_FRAMES * 4);
+        // Random steps of the GMMU's huge-page life cycle: reserve a
+        // region, place pages in regions, fill the budget with plain
+        // demand (free list, frontier, block splits, steals), or evict
+        // half the frames and release a region — usually after
+        // evicting its whole large page, so it comes back as a free
+        // block.
+        let mut a = FrameAllocator::with_frames(REGION_FRAMES * 8);
         let mut rng = Lcg(0xfeed);
         let mut live: HashSet<u64> = HashSet::new();
         let mut singles: Vec<FrameId> = Vec::new();
-        let mut blocks: Vec<(FrameId, u32)> = Vec::new();
-        let mut regions: Vec<u64> = Vec::new();
+        let mut regions: Vec<u64> = (0..6).map(|_| a.reserve_region().unwrap()).collect();
 
-        let claim = |live: &mut HashSet<u64>, base: u64, len: u64| {
-            for f in base..base + len {
-                assert!(live.insert(f), "frame {f} handed out twice");
-            }
+        let claim = |a: &FrameAllocator, live: &mut HashSet<u64>, f: FrameId| {
+            assert!(f.index() < a.capacity_frames());
+            assert!(
+                live.insert(f.index()),
+                "frame {} handed out twice",
+                f.index()
+            );
+        };
+        let release = |a: &mut FrameAllocator, live: &mut HashSet<u64>, f: FrameId| {
+            a.free(f).unwrap();
+            assert!(live.remove(&f.index()));
         };
 
-        for _ in 0..20_000 {
-            match rng.next() % 10 {
-                0..=3 => {
-                    if let Some(f) = a.allocate() {
-                        claim(&mut live, f.index(), 1);
-                        singles.push(f);
+        for _ in 0..400 {
+            match rng.next() % 4 {
+                0 => {
+                    if let Some(base) = a.reserve_region() {
+                        regions.push(base);
                     }
                 }
-                4..=5 => {
-                    if let Some(&f) = singles.last() {
-                        singles.pop();
-                        a.free(f).unwrap();
-                        live.remove(&f.index());
-                    }
-                }
-                6 => {
-                    let order = 1 + (rng.next() % 6) as u32;
-                    if let Some(b) = a.allocate_block(order) {
-                        claim(&mut live, b.index(), 1 << order);
-                        blocks.push((b, order));
-                    }
-                }
-                7 => {
-                    if !blocks.is_empty() {
-                        let (b, o) =
-                            blocks.swap_remove((rng.next() % blocks.len() as u64) as usize);
-                        a.free_block(b, o).unwrap();
-                        for f in b.index()..b.index() + (1 << o) {
-                            live.remove(&f);
-                        }
-                    }
-                }
-                8 => {
-                    if regions.len() < 3 {
-                        if let Some(base) = a.reserve_region() {
-                            regions.push(base);
-                        }
-                    }
-                }
-                _ => {
-                    if let Some(&base) = regions.last() {
-                        let off = rng.next() % REGION_FRAMES;
-                        if let Some(f) = a.allocate_in_region(base, off) {
-                            claim(&mut live, f.index(), 1);
+                1 => {
+                    for _ in 0..rng.next() % 600 {
+                        let Some(&base) = regions.get((rng.next() % 6) as usize) else {
+                            break;
+                        };
+                        if let Some(f) = a.allocate_in_region(base, rng.next() % REGION_FRAMES) {
+                            claim(&a, &mut live, f);
                             singles.push(f);
                         }
                     }
+                }
+                2 => {
+                    while let Some(f) = a.allocate() {
+                        claim(&a, &mut live, f);
+                        singles.push(f);
+                    }
+                }
+                _ => {
+                    for _ in 0..singles.len() / 2 {
+                        let f = singles.swap_remove((rng.next() % singles.len() as u64) as usize);
+                        release(&mut a, &mut live, f);
+                    }
+                    if regions.is_empty() {
+                        continue;
+                    }
+                    let base = regions.swap_remove((rng.next() % regions.len() as u64) as usize);
+                    if !rng.next().is_multiple_of(4) {
+                        let (inside, outside) = singles
+                            .iter()
+                            .partition(|f| (base..base + REGION_FRAMES).contains(&f.index()));
+                        singles = outside;
+                        for f in inside {
+                            release(&mut a, &mut live, f);
+                        }
+                    }
+                    a.release_region(base);
                 }
             }
             assert_eq!(
@@ -964,6 +887,8 @@ mod tests {
                 "free-frame accounting drifted"
             );
         }
+        let stats = a.stats();
+        assert!(stats.splits > 0 && stats.merges > 0 && stats.region_steals > 0);
     }
 
     #[test]
@@ -990,5 +915,98 @@ mod tests {
             }
             assert_eq!(buddy.free_frames(), reference.free_frames());
         }
+    }
+
+    // --- checkpoint images ---
+
+    /// Round-trips `a` through `save_state`/`load_state`.
+    fn reload(a: &FrameAllocator) -> Result<FrameAllocator, CodecError> {
+        let mut w = ByteWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let loaded = FrameAllocator::load_state(&mut r)?;
+        r.finish()?;
+        Ok(loaded)
+    }
+
+    /// An allocator with a released whole region, a split block, a
+    /// live region and a non-empty free list.
+    fn busy() -> FrameAllocator {
+        let mut a = FrameAllocator::with_frames(REGION_FRAMES * 3);
+        let first = a.reserve_region().unwrap();
+        let f = a.allocate().unwrap();
+        a.free(f).unwrap();
+        let second = a.reserve_region().unwrap();
+        a.allocate_in_region(second, 5).unwrap();
+        a.release_region(first);
+        a.allocate().unwrap();
+        a.allocate().unwrap();
+        a
+    }
+
+    /// `what` of an [`CodecError::OutOfRange`] or [`CodecError::BadTag`].
+    fn rejected_as(a: &FrameAllocator) -> &'static str {
+        match reload(a) {
+            Err(CodecError::OutOfRange { what, .. } | CodecError::BadTag { what, .. }) => what,
+            other => panic!("expected a range or tag error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn state_round_trips() {
+        let a = busy();
+        let mut b = reload(&a).unwrap();
+        let mut a = a;
+        assert_eq!(b.stats(), a.stats());
+        assert_eq!(b.used_frames(), a.used_frames());
+        while let Some(f) = a.allocate() {
+            assert_eq!(b.allocate(), Some(f));
+        }
+        assert!(b.allocate().is_none());
+    }
+
+    #[test]
+    fn load_rejects_in_use_past_capacity() {
+        let mut a = busy();
+        a.in_use = a.capacity + 1;
+        assert_eq!(rejected_as(&a), "frames in use");
+    }
+
+    #[test]
+    fn load_rejects_frontier_past_capacity() {
+        let mut a = busy();
+        a.next_unused = a.capacity + 1;
+        assert_eq!(rejected_as(&a), "frame frontier");
+    }
+
+    #[test]
+    fn load_rejects_free_list_frame_at_the_frontier() {
+        let mut a = busy();
+        a.free_list.push(FrameId(a.next_unused));
+        assert_eq!(rejected_as(&a), "free-list frame");
+    }
+
+    #[test]
+    fn load_rejects_free_block_past_the_frontier() {
+        let mut a = busy();
+        a.free_blocks[1].push(a.next_unused);
+        assert_eq!(rejected_as(&a), "free block base");
+    }
+
+    #[test]
+    fn load_rejects_unaligned_region_base() {
+        let mut a = busy();
+        let region = a.regions.pop_first().unwrap().1;
+        a.regions.insert(REGION_FRAMES / 2, region);
+        assert_eq!(rejected_as(&a), "unaligned region base");
+    }
+
+    #[test]
+    fn load_rejects_region_past_capacity() {
+        let mut a = busy();
+        let region = a.regions.pop_first().unwrap().1;
+        a.regions.insert(a.capacity, region);
+        assert_eq!(rejected_as(&a), "region base");
     }
 }

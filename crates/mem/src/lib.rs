@@ -8,32 +8,39 @@
 //!   the paper's simplifying assumption) and the
 //!   [`ShootdownDirectory`] that invalidates their entries in
 //!   O(holders) when a page is evicted,
-//! * the far-fault [`Mshr`]s in which outstanding faults are registered
-//!   and duplicate faults to the same page are merged,
 //! * a [`FrameAllocator`] enforcing the strict device-memory budget.
+//!
+//! Duplicate far faults to one page are merged above this crate, by the
+//! GMMU's in-flight table: a second fault on a page whose migration is
+//! under way waits for that page's ready time.
 //!
 //! # Examples
 //!
-//! ```
-//! use uvm_mem::{Mshr, RegisterOutcome};
-//! use uvm_types::PageId;
+//! A TLB miss on a non-resident page is a far fault: the page is
+//! validated, given a frame, and its translation filled.
 //!
-//! let mut mshr: Mshr<u32> = Mshr::new();
-//! assert_eq!(mshr.register(PageId::new(7), 1), RegisterOutcome::NewFault);
-//! assert_eq!(mshr.register(PageId::new(7), 2), RegisterOutcome::Merged);
-//! assert_eq!(mshr.complete(PageId::new(7)), vec![1, 2]);
+//! ```
+//! use uvm_mem::{FrameAllocator, PageTable, Tlb, TlbLookup};
+//! use uvm_types::{Bytes, PageId};
+//!
+//! let (mut table, mut tlb) = (PageTable::new(), Tlb::new(4));
+//! let mut frames = FrameAllocator::new(Bytes::kib(4)); // one frame
+//! let page = PageId::new(7);
+//! assert_eq!(tlb.lookup(page), TlbLookup::Miss);
+//! assert!(!table.is_valid(page));
+//! assert!(frames.allocate().is_some());
+//! table.validate(page);
+//! tlb.fill(page);
+//! assert_eq!(tlb.lookup(page), TlbLookup::Hit);
+//! assert!(frames.allocate().is_none()); // budget exhausted
 //! ```
 
 mod frames;
-mod mshr;
 mod page_table;
 mod shootdown;
 mod tlb;
-mod walk;
 
-pub use frames::{FrameAllocStats, FrameAllocator, FrameError, FrameId, MAX_FRAME_ORDER};
-pub use mshr::{Mshr, RegisterOutcome};
+pub use frames::{FrameAllocStats, FrameAllocator, FrameError, FrameId};
 pub use page_table::{PageTable, PteFlags};
 pub use shootdown::ShootdownDirectory;
 pub use tlb::{Tlb, TlbLookup};
-pub use walk::RadixWalkModel;

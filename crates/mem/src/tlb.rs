@@ -257,18 +257,6 @@ impl Tlb {
         self.huge.insert(lp, generation);
     }
 
-    /// Removes the huge-page translation for `lp` if present (eager
-    /// shootdown; epoch bumps make this optional).
-    pub fn invalidate_huge(&mut self, lp: LargePageId) -> bool {
-        self.huge.remove(&lp).is_some()
-    }
-
-    /// Current number of cached huge-page translations (stale entries
-    /// included until a lookup reclaims them).
-    pub fn huge_len(&self) -> usize {
-        self.huge.len()
-    }
-
     /// Current number of cached translations (stale-but-unreclaimed
     /// entries included, until a lookup or fill recycles them).
     pub fn len(&self) -> usize {
@@ -567,12 +555,12 @@ mod tests {
         assert!(!tlb.lookup_huge(lp, 1));
         tlb.fill_huge(lp, 1);
         assert!(tlb.lookup_huge(lp, 1));
-        assert_eq!(tlb.huge_len(), 1);
+        assert_eq!(tlb.iter_huge().count(), 1);
         // Splinter: the GMMU bumps the epoch; the stale entry never
         // hits and is reclaimed lazily without counting a miss.
         let (hits, misses) = tlb.hit_miss();
         assert!(!tlb.lookup_huge(lp, 2));
-        assert_eq!(tlb.huge_len(), 0);
+        assert_eq!(tlb.iter_huge().count(), 0);
         assert_eq!(tlb.hit_miss(), (hits, misses));
         // Re-coalesce at the new epoch.
         tlb.fill_huge(lp, 3);
@@ -586,7 +574,6 @@ mod tests {
         tlb.fill_huge(LargePageId::new(0), 1);
         assert_eq!(tlb.lookup(PageId::new(9)), TlbLookup::Hit);
         assert!(tlb.lookup_huge(LargePageId::new(0), 1));
-        assert!(tlb.invalidate_huge(LargePageId::new(0)));
-        assert!(!tlb.lookup_huge(LargePageId::new(0), 1));
+        assert_eq!(tlb.len(), 1, "the huge entry took no small slot");
     }
 }

@@ -1,11 +1,9 @@
-//! Randomized-property tests for the page table, TLB, MSHRs, and
-//! frame allocator, driven by seeded `SmallRng` case loops.
+//! Randomized-property tests for the page table, TLB and frame
+//! allocator, driven by seeded `SmallRng` case loops.
 
 use std::collections::HashSet;
 
-use uvm_mem::{
-    FrameAllocator, Mshr, PageTable, RegisterOutcome, ShootdownDirectory, Tlb, TlbLookup,
-};
+use uvm_mem::{FrameAllocator, PageTable, ShootdownDirectory, Tlb, TlbLookup};
 use uvm_types::rng::{Rng, SmallRng};
 use uvm_types::PageId;
 
@@ -336,36 +334,6 @@ fn generation_shootdown_matches_eager_broadcast() {
             assert_eq!(f.hit_miss(), r.hit_miss());
             assert_eq!(f.len(), r.len());
         }
-    }
-}
-
-/// MSHR merge semantics: every waiter is returned exactly once, on the
-/// completion of the page it registered for.
-#[test]
-fn mshr_returns_every_waiter_once() {
-    let mut rng = SmallRng::seed_from_u64(0x3e34);
-    for _ in 0..CASES {
-        let mut mshr: Mshr<u32> = Mshr::new();
-        let mut expected: std::collections::HashMap<u64, Vec<u32>> = Default::default();
-        let n = rng.gen_range(0usize..100);
-        for _ in 0..n {
-            let page = rng.gen_range(0u64..16);
-            let waiter = rng.gen_range(0u32..1000);
-            let outcome = mshr.register(PageId::new(page), waiter);
-            let entry = expected.entry(page).or_default();
-            if entry.is_empty() {
-                assert_eq!(outcome, RegisterOutcome::NewFault);
-            } else {
-                assert_eq!(outcome, RegisterOutcome::Merged);
-            }
-            entry.push(waiter);
-        }
-        let (total, merged) = mshr.fault_counts();
-        assert_eq!(total - merged, expected.len() as u64);
-        for (page, waiters) in expected {
-            assert_eq!(mshr.complete(PageId::new(page)), waiters);
-        }
-        assert!(mshr.is_empty());
     }
 }
 

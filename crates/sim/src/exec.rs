@@ -130,7 +130,7 @@ fn hash_shared_opts(h: &mut StableHasher, opts: &RunOptions) {
     h.write_f64(opts.free_buffer_frac);
     h.write_f64(opts.reserve_frac);
     // GpuConfig is plain data; its Debug rendering covers every
-    // field, including the optional radix-walk model.
+    // field.
     h.write_str(&format!("{:?}", opts.gpu));
     h.write_bool(opts.trace);
     // Trace export is part of the run identity; belt-and-braces on top

@@ -212,11 +212,6 @@ impl ByteWriter {
         self.buf.push(v as u8);
     }
 
-    /// Appends an `f64` by exact bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_raw(&v.to_bits().to_le_bytes());
-    }
-
     /// Appends length-prefixed bytes.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());
@@ -417,11 +412,6 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Reads an `f64` by exact bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(u64::from_le_bytes(self.get_array()?)))
-    }
-
     /// Reads length-prefixed bytes, validating the length against the
     /// remaining input before allocating anything.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
@@ -459,7 +449,6 @@ mod tests {
         w.put_i64(i64::MAX);
         w.put_bool(true);
         w.put_bool(false);
-        w.put_f64(-0.5);
         w.put_bytes(b"abc");
         w.put_str("déjà");
         w.put_u32(u32::MAX);
@@ -475,7 +464,6 @@ mod tests {
         assert_eq!(r.get_i64().unwrap(), i64::MAX);
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_f64().unwrap(), -0.5);
         assert_eq!(r.get_bytes().unwrap(), b"abc");
         assert_eq!(r.get_str().unwrap(), "déjà");
         assert_eq!(r.get_u32().unwrap(), u32::MAX);

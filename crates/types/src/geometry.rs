@@ -29,11 +29,6 @@ impl TreeExtent {
         BASIC_BLOCK_SIZE * self.num_blocks
     }
 
-    /// Height of the tree (0 for a single-leaf tree, 5 for a 2 MB tree).
-    pub fn height(&self) -> u32 {
-        self.num_blocks.trailing_zeros()
-    }
-
     /// `true` if `block` falls inside this extent.
     pub fn contains(&self, block: BasicBlockId) -> bool {
         let idx = block.index();
@@ -139,12 +134,10 @@ mod tests {
         let trees = split_allocation(BasicBlockId::new(0), Bytes::kib(512));
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].num_blocks, 8);
-        assert_eq!(trees[0].height(), 3);
 
         let trees = split_allocation(BasicBlockId::new(0), Bytes::kib(1));
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].num_blocks, 1);
-        assert_eq!(trees[0].height(), 0);
     }
 
     #[test]

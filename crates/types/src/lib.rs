@@ -36,7 +36,7 @@ mod time;
 pub use addr::{BasicBlockId, LargePageId, PageId, VirtAddr};
 pub use geometry::{round_up_pow2_blocks, split_allocation, TreeExtent};
 pub use size::{
-    Bytes, BASIC_BLOCK_ORDER, BASIC_BLOCK_SIZE, LARGE_PAGE_ORDER, LARGE_PAGE_SIZE,
-    PAGES_PER_BASIC_BLOCK, PAGES_PER_LARGE_PAGE, PAGE_SIZE,
+    Bytes, BASIC_BLOCK_SIZE, LARGE_PAGE_ORDER, LARGE_PAGE_SIZE, PAGES_PER_BASIC_BLOCK,
+    PAGES_PER_LARGE_PAGE, PAGE_SIZE,
 };
 pub use time::{Cycle, Duration, CORE_CLOCK_HZ};

@@ -162,11 +162,8 @@ pub const PAGES_PER_BASIC_BLOCK: u64 = BASIC_BLOCK_SIZE.bytes() / PAGE_SIZE.byte
 /// Number of 4 KB pages per 2 MB large page (512).
 pub const PAGES_PER_LARGE_PAGE: u64 = LARGE_PAGE_SIZE.bytes() / PAGE_SIZE.bytes();
 
-/// Buddy order of a 64 KB basic block in 4 KB frames (2^4 = 16).
-pub const BASIC_BLOCK_ORDER: u32 = PAGES_PER_BASIC_BLOCK.trailing_zeros();
-
 /// Buddy order of a 2 MB large page in 4 KB frames (2^9 = 512). The
-/// frame allocator's top coalescing order and the huge-mapping unit.
+/// frame allocator's top block order and the huge-mapping unit.
 pub const LARGE_PAGE_ORDER: u32 = PAGES_PER_LARGE_PAGE.trailing_zeros();
 
 #[cfg(test)]
@@ -187,7 +184,6 @@ mod tests {
         assert_eq!(PAGES_PER_BASIC_BLOCK, 16);
         assert_eq!(PAGES_PER_LARGE_PAGE, 512);
         assert_eq!(LARGE_PAGE_SIZE / BASIC_BLOCK_SIZE, 32);
-        assert_eq!(1u64 << BASIC_BLOCK_ORDER, PAGES_PER_BASIC_BLOCK);
         assert_eq!(1u64 << LARGE_PAGE_ORDER, PAGES_PER_LARGE_PAGE);
     }
 

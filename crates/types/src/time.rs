@@ -40,11 +40,6 @@ impl Cycle {
         self.0 as f64 / CORE_CLOCK_HZ as f64
     }
 
-    /// Converts this cycle stamp to milliseconds of simulated time.
-    pub fn as_millis(self) -> f64 {
-        self.as_secs() * 1e3
-    }
-
     /// The duration elapsed since `earlier`, saturating to zero if
     /// `earlier` is actually later.
     pub const fn since(self, earlier: Cycle) -> Duration {
@@ -91,7 +86,7 @@ impl Duration {
 
     /// Creates a duration from microseconds of wall-clock time,
     /// rounding to the nearest core cycle.
-    pub fn from_micros(us: f64) -> Self {
+    pub const fn from_micros(us: f64) -> Self {
         Duration((us * 1e-6 * CORE_CLOCK_HZ as f64).round() as u64)
     }
 
@@ -178,7 +173,6 @@ mod tests {
         let one_sec = Duration::from_secs(1.0);
         assert_eq!(one_sec.cycles(), CORE_CLOCK_HZ);
         assert!((Cycle::new(CORE_CLOCK_HZ).as_secs() - 1.0).abs() < 1e-12);
-        assert!((Cycle::new(CORE_CLOCK_HZ).as_millis() - 1000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! policies were extracted out of the `Gmmu` into the trait-based
 //! policy layer, so a passing run proves the refactor preserved every
 //! simulation outcome exactly — fault counts, eviction decisions,
-//! transfer schedules, and timing.
+//! transfer schedules, and timing. Every freshly simulated result must
+//! also obey the driver's conservation laws
+//! ([`common::assert_conservation_laws`]), which hold independently of
+//! the fixtures.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -21,6 +24,8 @@ use std::path::PathBuf;
 use uvm_core::{EvictPolicy, PrefetchPolicy};
 use uvm_sim::{run_workload, RunOptions, RunResult};
 use uvm_workloads::Hotspot;
+
+mod common;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
@@ -106,6 +111,7 @@ fn golden_fixtures_match_for_every_paper_policy_pair() {
     for prefetch in PrefetchPolicy::ALL {
         for evict in EvictPolicy::ALL {
             let r = run_workload(&w, options(prefetch, evict));
+            common::assert_conservation_laws(&r, &format!("{prefetch}+{evict}"));
             let encoded = encode(&r);
             let path = dir.join(format!("hotspot_{prefetch}_{evict}.json"));
             if update {

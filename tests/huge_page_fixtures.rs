@@ -8,7 +8,9 @@
 //! compared byte-for-byte against committed JSON fixtures under
 //! `tests/fixtures/`. A passing run pins the whole promote/demote
 //! pipeline: contiguous placement, coalesce timing, splinter-before-
-//! evict, and the huge-TLB fast path.
+//! evict, and the huge-TLB fast path. Every freshly simulated result
+//! must also obey the driver's conservation laws
+//! ([`common::assert_conservation_laws`]).
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -22,6 +24,8 @@ use std::path::PathBuf;
 use uvm_core::{EvictPolicy, PrefetchPolicy};
 use uvm_sim::{run_workload, RunOptions, RunResult, Warmup};
 use uvm_workloads::Hotspot;
+
+mod common;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
@@ -150,6 +154,7 @@ fn huge_page_fixtures_match() {
             opts = opts.with_warmup(warmup);
         }
         let r = run_workload(&w, opts);
+        common::assert_conservation_laws(&r, &format!("{prefetch}+{evict} ({label})"));
         // Liveness: the cold Mosaic pair must actually promote.
         // Warmed runs inherit the warm-up's fragmented frame pool
         // (scattered LRU-4KB holes, no free 2 MB region at capacity),
@@ -204,6 +209,7 @@ fn paper_policies_never_touch_the_huge_page_machinery() {
                     .with_evict(evict)
                     .with_memory_frac(1.10),
             );
+            common::assert_conservation_laws(&r, &format!("{prefetch}+{evict}"));
             assert!(
                 r.huge_pages.is_clean(),
                 "{prefetch}+{evict}: huge-page counters moved: {:?}",
